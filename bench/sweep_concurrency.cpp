@@ -48,7 +48,8 @@ int main(int argc, char** argv) {
       const std::string winner = sweep->best().config.label();
       if (!winners_row.empty()) winners_row += " ";
       // Compact cell: S-LocW -> SW, P-LocR -> PR, ...
-      winners_row += winner.substr(0, 1) + winner.substr(5, 1);
+      winners_row += winner[0];
+      winners_row += winner[5];
       if (!previous.empty() && winner != previous) {
         crossovers += format("%s->%s@%u ", previous.c_str(),
                              winner.c_str(), ranks);

@@ -77,14 +77,21 @@ InterferenceTable::InterferenceTable(workflow::Runner runner)
 Expected<PairInterference> InterferenceTable::lookup(
     const CachedProfile& a, const workflow::WorkflowSpec& spec_a,
     const CachedProfile& b, const workflow::WorkflowSpec& spec_b) {
-  return lookup(a, spec_a, b, spec_b, runner_.devices());
+  return lookup_keyed(a, spec_a, b, spec_b, runner_.devices().fingerprint(),
+                      nullptr);
 }
 
 Expected<PairInterference> InterferenceTable::lookup(
     const CachedProfile& a, const workflow::WorkflowSpec& spec_a,
     const CachedProfile& b, const workflow::WorkflowSpec& spec_b,
     const devices::NodeDevices& backend) {
-  const std::uint64_t device_fp = backend.fingerprint();
+  return lookup_keyed(a, spec_a, b, spec_b, backend.fingerprint(), &backend);
+}
+
+Expected<PairInterference> InterferenceTable::lookup_keyed(
+    const CachedProfile& a, const workflow::WorkflowSpec& spec_a,
+    const CachedProfile& b, const workflow::WorkflowSpec& spec_b,
+    std::uint64_t device_fp, const devices::NodeDevices* backend) {
   const auto [min_fp, max_fp] = std::minmax(a.fingerprint, b.fingerprint);
   const std::tuple<std::uint64_t, std::uint64_t, std::uint64_t> key{
       min_fp, max_fp, device_fp};
@@ -113,8 +120,8 @@ Expected<PairInterference> InterferenceTable::lookup(
   // measurement a one-time cost.
   std::optional<workflow::Runner> backend_runner;
   const workflow::Runner* runner = &runner_;
-  if (device_fp != runner_.devices().fingerprint()) {
-    backend_runner.emplace(runner_.platform(), backend);
+  if (backend != nullptr && device_fp != runner_.devices().fingerprint()) {
+    backend_runner.emplace(runner_.platform(), *backend);
     backend_runner->set_allocator_memoization(allocator_memoization_);
     runner = &*backend_runner;
   }

@@ -95,17 +95,24 @@ class InterferenceTable {
  public:
   explicit InterferenceTable(workflow::Runner runner = workflow::Runner());
 
-  /// Slowdown factors for running `a` and `b` together on the table's
-  /// default backend (its Runner's devices), oriented to the call's
-  /// argument order. Measures (and memoizes) on first sight of the
-  /// class pair; propagates simulation errors.
+  /// The one lookup path: slowdown factors for running `a` and `b`
+  /// together on the backend `device_fp` fingerprints, oriented to the
+  /// call's argument order. Keyed on the profiles' class fingerprints
+  /// and `device_fp`, so the pair is measured (and memoized) once per
+  /// distinct backend; propagates simulation errors. `backend` is read
+  /// only on a miss and may be null for the table's default backend
+  /// (its Runner's devices).
+  [[nodiscard]] Expected<PairInterference> lookup_keyed(
+      const CachedProfile& a, const workflow::WorkflowSpec& spec_a,
+      const CachedProfile& b, const workflow::WorkflowSpec& spec_b,
+      std::uint64_t device_fp, const devices::NodeDevices* backend);
+
+  /// lookup_keyed on the table's default backend.
   [[nodiscard]] Expected<PairInterference> lookup(
       const CachedProfile& a, const workflow::WorkflowSpec& spec_a,
       const CachedProfile& b, const workflow::WorkflowSpec& spec_b);
 
-  /// Same, but measured on an explicit node backend: the memo key
-  /// includes the backend's device fingerprint, so the pair is
-  /// re-measured (once) per distinct backend in a heterogeneous fleet.
+  /// lookup_keyed on an explicit node backend.
   [[nodiscard]] Expected<PairInterference> lookup(
       const CachedProfile& a, const workflow::WorkflowSpec& spec_a,
       const CachedProfile& b, const workflow::WorkflowSpec& spec_b,

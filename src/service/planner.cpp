@@ -5,9 +5,7 @@
 
 #include "common/assert.hpp"
 #include "common/hash.hpp"
-#include "dag/spec.hpp"
 #include "service/scheduler.hpp"
-#include "workflow/model.hpp"
 
 namespace pmemflow::service {
 namespace {
@@ -27,11 +25,6 @@ bool score_better(const PlacementCandidate& a, const PlacementCandidate& b) {
 bool estimate_better(const PlacementCandidate& a, const PlacementCandidate& b) {
   if (a.estimate_ns != b.estimate_ns) return a.estimate_ns < b.estimate_ns;
   return score_better(a, b);
-}
-
-std::uint64_t submission_class_fp(const Submission& submission) {
-  return submission.dag != nullptr ? dag::class_fingerprint(*submission.dag)
-                                   : workflow::class_fingerprint(submission.spec);
 }
 
 }  // namespace
@@ -171,7 +164,7 @@ Expected<std::vector<PlacementCandidate>> Planner::enumerate(
       c.ref = SlotRef{i, 0};
       c.load = solo_load(i);
       if (lookahead) {
-        auto profile = resolver.resolve_dag_profile(*next.dag, i);
+        auto profile = resolver.resolve_dag_profile(next, i);
         if (!profile.has_value()) return Unexpected{profile.error()};
         c.dag_profile = profile->profile;
         c.cache_hit = profile->cache_hit;
@@ -193,7 +186,7 @@ Expected<std::vector<PlacementCandidate>> Planner::enumerate(
     std::shared_ptr<const CachedProfile> head;
     bool head_hit = false;
     if (!heterogeneous()) {
-      auto profile = resolver.resolve_profile(next.spec, 0);
+      auto profile = resolver.resolve_profile(next, 0);
       if (!profile.has_value()) return Unexpected{profile.error()};
       head = profile->profile;
       head_hit = profile->cache_hit;
@@ -209,7 +202,7 @@ Expected<std::vector<PlacementCandidate>> Planner::enumerate(
       c.cache_hit = head_hit;
       if (lookahead) {
         if (heterogeneous()) {
-          auto profile = resolver.resolve_profile(next.spec, i);
+          auto profile = resolver.resolve_profile(next, i);
           if (!profile.has_value()) return Unexpected{profile.error()};
           c.profile = profile->profile;
           c.cache_hit = profile->cache_hit;
@@ -235,7 +228,7 @@ Expected<std::vector<PlacementCandidate>> Planner::enumerate(
       bool joiner_hit = head_hit;
       if (heterogeneous()) {
         // The candidate's profile on *this* node's backend.
-        auto profile = resolver.resolve_profile(next.spec, i);
+        auto profile = resolver.resolve_profile(next, i);
         if (!profile.has_value()) return Unexpected{profile.error()};
         joiner = profile->profile;
         joiner_hit = profile->cache_hit;
@@ -246,7 +239,7 @@ Expected<std::vector<PlacementCandidate>> Planner::enumerate(
       // next to it.
       if (incumbent->submission.dag != nullptr) continue;
       auto incumbent_profile =
-          resolver.resolve_profile(incumbent->submission.spec, i);
+          resolver.resolve_profile(incumbent->submission, i);
       if (!incumbent_profile.has_value()) {
         return Unexpected{incumbent_profile.error()};
       }
@@ -284,7 +277,7 @@ Expected<std::vector<PlacementCandidate>> Planner::enumerate(
     const std::uint32_t other = preferred ^ 1u;
     const capacity::ResidencyTracker& residency = fleet.residency();
     for (std::uint32_t i : idle) {
-      auto profile = resolver.resolve_profile(next.spec, i);
+      auto profile = resolver.resolve_profile(next, i);
       if (!profile.has_value()) return Unexpected{profile.error()};
       const Bytes lease =
           lease_for(config_.capacity, *profile->profile, next.spec);
@@ -343,7 +336,7 @@ Expected<std::vector<PlacementCandidate>> Planner::enumerate(
     // Optane routes to a locality-free backend. Lowest node index
     // breaks runtime ties deterministically.
     for (std::uint32_t i : idle) {
-      auto profile = resolver.resolve_profile(next.spec, i);
+      auto profile = resolver.resolve_profile(next, i);
       if (!profile.has_value()) return Unexpected{profile.error()};
       const core::DeploymentConfig chosen =
           config_.use_rule_based ? profile->profile->rule_based.config
@@ -375,7 +368,7 @@ Expected<std::vector<PlacementCandidate>> Planner::enumerate(
     c.ref = SlotRef{i, 0};
     c.load = solo_load(i);
     if (lookahead) {
-      auto profile = resolver.resolve_profile(next.spec, i);
+      auto profile = resolver.resolve_profile(next, i);
       if (!profile.has_value()) return Unexpected{profile.error()};
       c.profile = profile->profile;
       c.cache_hit = profile->cache_hit;
@@ -389,7 +382,7 @@ Expected<std::vector<PlacementCandidate>> Planner::enumerate(
 Status Planner::finalize(PlanResolver& resolver, const Submission& next,
                          PlacementCandidate& candidate) {
   if (next.dag != nullptr) {
-    auto profile = resolver.resolve_dag_profile(*next.dag, candidate.ref.node);
+    auto profile = resolver.resolve_dag_profile(next, candidate.ref.node);
     if (!profile.has_value()) return Unexpected{profile.error()};
     candidate.dag_profile = profile->profile;
     candidate.cache_hit = profile->cache_hit;
@@ -399,7 +392,7 @@ Status Planner::finalize(PlanResolver& resolver, const Submission& next,
       !candidate.packs) {
     // The winning solo node's backend decides the profile (the pack
     // path resolved it during enumeration).
-    auto profile = resolver.resolve_profile(next.spec, candidate.ref.node);
+    auto profile = resolver.resolve_profile(next, candidate.ref.node);
     if (!profile.has_value()) return Unexpected{profile.error()};
     candidate.profile = profile->profile;
     candidate.cache_hit = profile->cache_hit;
@@ -533,14 +526,14 @@ Expected<Plan> Planner::replay(PlanResolver& resolver, const Fleet& fleet,
     c.flip_placement = step.flip_placement;
     switch (step.kind) {
       case StepKind::kDag: {
-        auto profile = resolver.resolve_dag_profile(*next.dag, step.ref.node);
+        auto profile = resolver.resolve_dag_profile(next, step.ref.node);
         if (!profile.has_value()) return Unexpected{profile.error()};
         c.dag_profile = profile->profile;
         c.cache_hit = profile->cache_hit;
         break;
       }
       case StepKind::kPack: {
-        auto joiner = resolver.resolve_profile(next.spec, step.ref.node);
+        auto joiner = resolver.resolve_profile(next, step.ref.node);
         if (!joiner.has_value()) return Unexpected{joiner.error()};
         const auto tenant = fleet.sole_tenant_slot(step.ref.node);
         PMEMFLOW_ASSERT_MSG(tenant.has_value(),
@@ -550,8 +543,8 @@ Expected<Plan> Planner::replay(PlanResolver& resolver, const Fleet& fleet,
             fleet.running(SlotRef{step.ref.node, *tenant});
         PMEMFLOW_ASSERT(incumbent != nullptr &&
                         incumbent->submission.dag == nullptr);
-        auto incumbent_profile = resolver.resolve_profile(
-            incumbent->submission.spec, step.ref.node);
+        auto incumbent_profile =
+            resolver.resolve_profile(incumbent->submission, step.ref.node);
         if (!incumbent_profile.has_value()) {
           return Unexpected{incumbent_profile.error()};
         }
@@ -570,7 +563,7 @@ Expected<Plan> Planner::replay(PlanResolver& resolver, const Fleet& fleet,
         break;
       }
       case StepKind::kCapacity: {
-        auto profile = resolver.resolve_profile(next.spec, step.ref.node);
+        auto profile = resolver.resolve_profile(next, step.ref.node);
         if (!profile.has_value()) return Unexpected{profile.error()};
         c.profile = profile->profile;
         c.cache_hit = profile->cache_hit;
@@ -639,7 +632,7 @@ std::vector<std::uint64_t> Planner::cache_key(
   // The window's class sequence: behavioural fingerprints + priorities.
   key.push_back(window.size());
   for (const Submission* submission : window) {
-    key.push_back(submission_class_fp(*submission));
+    key.push_back(submission->class_fp);
     key.push_back((static_cast<std::uint64_t>(submission->priority) << 1) |
                   static_cast<std::uint64_t>(submission->dag != nullptr));
   }
@@ -654,7 +647,7 @@ std::vector<std::uint64_t> Planner::cache_key(
     for (const SlotState& slot : node.slots) {
       if (slot.running.has_value()) {
         key.push_back(2);
-        key.push_back(submission_class_fp(slot.running->submission));
+        key.push_back(slot.running->submission.class_fp);
       } else if (slot.free_at_ns > now) {
         key.push_back(1);
       } else {

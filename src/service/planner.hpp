@@ -156,9 +156,11 @@ struct Plan {
 /// What the planner needs from its owner to resolve profiles and
 /// interference: Region implements this over its per-region
 /// ProfileCache/InterferenceTable (heterogeneous lookups keyed by the
-/// node's backend). `cache_hit` reports whether the lookup was served
-/// from the cache — observable in completion records and metrics, so
-/// resolution order is part of the window-1 equivalence contract.
+/// node's backend). Profiles resolve by the submission's stamped
+/// `class_fp`, never by re-fingerprinting its spec. `cache_hit` reports
+/// whether the lookup was served from the cache — observable in
+/// completion records and metrics, so resolution order is part of the
+/// window-1 equivalence contract.
 class PlanResolver {
  public:
   struct Resolved {
@@ -172,10 +174,12 @@ class PlanResolver {
 
   virtual ~PlanResolver() = default;
 
+  /// Pair profile of `submission` (whose `dag` is null).
   [[nodiscard]] virtual Expected<Resolved> resolve_profile(
-      const workflow::WorkflowSpec& spec, std::uint32_t node) = 0;
+      const Submission& submission, std::uint32_t node) = 0;
+  /// DAG profile of `submission` (whose `dag` is set).
   [[nodiscard]] virtual Expected<ResolvedDag> resolve_dag_profile(
-      const dag::DagSpec& spec, std::uint32_t node) = 0;
+      const Submission& submission, std::uint32_t node) = 0;
   [[nodiscard]] virtual Expected<PairInterference> resolve_interference(
       const CachedProfile& a, const workflow::WorkflowSpec& spec_a,
       const CachedProfile& b, const workflow::WorkflowSpec& spec_b,
@@ -205,10 +209,19 @@ class Planner {
     return cache_.size();
   }
 
+  /// Fingerprint of region-local node `node`'s backend on a
+  /// heterogeneous fleet (0 on a homogeneous one). Computed once, when
+  /// the planner is built.
+  [[nodiscard]] std::uint64_t device_fingerprint(
+      std::uint32_t node) const noexcept {
+    return device_fps_[node];
+  }
+
   /// The full (pre-hash) plan-cache key for this window and fleet
   /// state. Exposed so tests can pin what the key must distinguish:
   /// device fingerprints, slot occupancy/incumbent classes, the
-  /// idle-node load ranking, and per-socket residency bytes.
+  /// idle-node load ranking, and per-socket residency bytes. Classes
+  /// enter as the stamped `class_fp` of window entries and incumbents.
   [[nodiscard]] std::vector<std::uint64_t> cache_key(
       const Fleet& fleet, std::span<const Submission* const> window,
       SimTime now) const;

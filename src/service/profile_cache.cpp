@@ -29,10 +29,10 @@ std::uint64_t ProfileCache::key_of(std::uint64_t class_fp,
 }
 
 Expected<CachedProfile> ProfileCache::characterize_on(
-    const workflow::WorkflowSpec& spec, const core::Executor& executor,
-    std::uint64_t device_fp) const {
+    const workflow::WorkflowSpec& spec, std::uint64_t class_fp,
+    const core::Executor& executor, std::uint64_t device_fp) const {
   CachedProfile cached;
-  cached.fingerprint = workflow::class_fingerprint(spec);
+  cached.fingerprint = class_fp;
   cached.device_fingerprint = device_fp;
 
   const core::Characterizer characterizer{executor};
@@ -52,32 +52,41 @@ Expected<CachedProfile> ProfileCache::characterize_on(
   return cached;
 }
 
-Expected<CachedProfile> ProfileCache::characterize(
-    const workflow::WorkflowSpec& spec) const {
-  return characterize_on(spec, executor_, default_device_fp_);
-}
-
-Expected<CachedProfile> ProfileCache::characterize(
-    const workflow::WorkflowSpec& spec,
-    const devices::NodeDevices& backend) const {
-  const std::uint64_t device_fp = backend.fingerprint();
-  if (device_fp == default_device_fp_) return characterize(spec);
+Expected<CachedProfile> ProfileCache::characterize_keyed(
+    const workflow::WorkflowSpec& spec, std::uint64_t class_fp,
+    std::uint64_t device_fp, const devices::NodeDevices* backend) const {
+  if (device_fp == default_device_fp_) {
+    return characterize_on(spec, class_fp, executor_, default_device_fp_);
+  }
+  PMEMFLOW_ASSERT_MSG(backend != nullptr,
+                      "a non-default device fingerprint needs its backend");
   core::Executor executor{
-      workflow::Runner(executor_.runner().platform(), backend)};
+      workflow::Runner(executor_.runner().platform(), *backend)};
   executor.set_allocator_memoization(allocator_memoization_);
-  auto result = characterize_on(spec, executor, device_fp);
+  auto result = characterize_on(spec, class_fp, executor, device_fp);
   // The executor dies with this scope; fold its counters in first (on
   // the error path too — a failed sweep still ran the allocator).
   extra_allocator_counters_ += executor.runner().allocator_counters();
   return result;
 }
 
+Expected<CachedProfile> ProfileCache::characterize(
+    const workflow::WorkflowSpec& spec) const {
+  return characterize_keyed(spec, workflow::class_fingerprint(spec),
+                            default_device_fp_, nullptr);
+}
+
+Expected<CachedProfile> ProfileCache::characterize(
+    const workflow::WorkflowSpec& spec,
+    const devices::NodeDevices& backend) const {
+  return characterize_keyed(spec, workflow::class_fingerprint(spec),
+                            backend.fingerprint(), &backend);
+}
+
 Expected<std::shared_ptr<const CachedProfile>> ProfileCache::lookup_keyed(
-    const workflow::WorkflowSpec& spec, const devices::NodeDevices* backend) {
-  const std::uint64_t device_fp =
-      backend == nullptr ? default_device_fp_ : backend->fingerprint();
-  const std::uint64_t key =
-      key_of(workflow::class_fingerprint(spec), device_fp);
+    const workflow::WorkflowSpec& spec, std::uint64_t class_fp,
+    std::uint64_t device_fp, const devices::NodeDevices* backend) {
+  const std::uint64_t key = key_of(class_fp, device_fp);
   if (auto it = entries_.find(key); it != entries_.end()) {
     ++stats_.hits;
     lru_.splice(lru_.begin(), lru_, it->second);  // mark most recent
@@ -85,8 +94,7 @@ Expected<std::shared_ptr<const CachedProfile>> ProfileCache::lookup_keyed(
   }
 
   ++stats_.misses;
-  auto fresh =
-      backend == nullptr ? characterize(spec) : characterize(spec, *backend);
+  auto fresh = characterize_keyed(spec, class_fp, device_fp, backend);
   if (!fresh.has_value()) return Unexpected{fresh.error()};
 
   if (entries_.size() >= capacity_) {
@@ -102,25 +110,29 @@ Expected<std::shared_ptr<const CachedProfile>> ProfileCache::lookup_keyed(
 
 Expected<std::shared_ptr<const CachedProfile>> ProfileCache::lookup(
     const workflow::WorkflowSpec& spec) {
-  return lookup_keyed(spec, nullptr);
+  return lookup_keyed(spec, workflow::class_fingerprint(spec),
+                      default_device_fp_, nullptr);
 }
 
 Expected<std::shared_ptr<const CachedProfile>> ProfileCache::lookup(
     const workflow::WorkflowSpec& spec, const devices::NodeDevices& backend) {
-  return lookup_keyed(spec, &backend);
+  return lookup_keyed(spec, workflow::class_fingerprint(spec),
+                      backend.fingerprint(), &backend);
 }
 
-Expected<CachedDagProfile> ProfileCache::characterize_dag_on(
-    const dag::DagSpec& spec, const devices::NodeDevices& backend,
-    std::uint64_t device_fp) const {
+Expected<CachedDagProfile> ProfileCache::characterize_dag_keyed(
+    const dag::DagSpec& spec, std::uint64_t class_fp, std::uint64_t device_fp,
+    const devices::NodeDevices* backend) const {
   // Invalid specs are hard errors; a *valid* DAG that no socket
   // assignment fits is a placement outcome the region handles (graceful
   // drop), so plan errors past validation mean "infeasible here".
   if (auto status = dag::validate(spec); !status) {
     return Unexpected{status.error()};
   }
+  PMEMFLOW_ASSERT_MSG(device_fp == default_device_fp_ || backend != nullptr,
+                      "a non-default device fingerprint needs its backend");
   CachedDagProfile cached;
-  cached.fingerprint = dag::class_fingerprint(spec);
+  cached.fingerprint = class_fp;
   cached.device_fingerprint = device_fp;
   cached.iterations = spec.iterations;
   for (const dag::DagEdge& edge : spec.edges) {
@@ -133,7 +145,9 @@ Expected<CachedDagProfile> ProfileCache::characterize_dag_on(
   }
 
   const topo::PlatformSpec& platform = executor_.runner().platform();
-  dag::Runner runner(platform, backend);
+  dag::Runner runner(platform, device_fp == default_device_fp_
+                                   ? executor_.runner().devices()
+                                   : *backend);
   runner.set_allocator_memoization(allocator_memoization_);
   if (auto plan = dag::plan_spread(spec, platform); plan.has_value()) {
     auto run = runner.run(spec, plan->run_options());
@@ -156,23 +170,21 @@ Expected<CachedDagProfile> ProfileCache::characterize_dag_on(
 
 Expected<CachedDagProfile> ProfileCache::characterize_dag(
     const dag::DagSpec& spec) const {
-  return characterize_dag_on(spec, executor_.runner().devices(),
-                             default_device_fp_);
+  return characterize_dag_keyed(spec, dag::class_fingerprint(spec),
+                                default_device_fp_, nullptr);
 }
 
 Expected<CachedDagProfile> ProfileCache::characterize_dag(
     const dag::DagSpec& spec, const devices::NodeDevices& backend) const {
-  const std::uint64_t device_fp = backend.fingerprint();
-  if (device_fp == default_device_fp_) return characterize_dag(spec);
-  return characterize_dag_on(spec, backend, device_fp);
+  return characterize_dag_keyed(spec, dag::class_fingerprint(spec),
+                                backend.fingerprint(), &backend);
 }
 
 Expected<std::shared_ptr<const CachedDagProfile>>
-ProfileCache::lookup_dag_keyed(const dag::DagSpec& spec,
+ProfileCache::lookup_dag_keyed(const dag::DagSpec& spec, std::uint64_t class_fp,
+                               std::uint64_t device_fp,
                                const devices::NodeDevices* backend) {
-  const std::uint64_t device_fp =
-      backend == nullptr ? default_device_fp_ : backend->fingerprint();
-  const std::uint64_t key = key_of(dag::class_fingerprint(spec), device_fp);
+  const std::uint64_t key = key_of(class_fp, device_fp);
   if (auto it = dag_entries_.find(key); it != dag_entries_.end()) {
     ++stats_.hits;
     dag_lru_.splice(dag_lru_.begin(), dag_lru_, it->second);
@@ -180,8 +192,7 @@ ProfileCache::lookup_dag_keyed(const dag::DagSpec& spec,
   }
 
   ++stats_.misses;
-  auto fresh = backend == nullptr ? characterize_dag(spec)
-                                  : characterize_dag(spec, *backend);
+  auto fresh = characterize_dag_keyed(spec, class_fp, device_fp, backend);
   if (!fresh.has_value()) return Unexpected{fresh.error()};
 
   if (dag_entries_.size() >= capacity_) {
@@ -197,12 +208,14 @@ ProfileCache::lookup_dag_keyed(const dag::DagSpec& spec,
 
 Expected<std::shared_ptr<const CachedDagProfile>> ProfileCache::lookup_dag(
     const dag::DagSpec& spec) {
-  return lookup_dag_keyed(spec, nullptr);
+  return lookup_dag_keyed(spec, dag::class_fingerprint(spec),
+                          default_device_fp_, nullptr);
 }
 
 Expected<std::shared_ptr<const CachedDagProfile>> ProfileCache::lookup_dag(
     const dag::DagSpec& spec, const devices::NodeDevices& backend) {
-  return lookup_dag_keyed(spec, &backend);
+  return lookup_dag_keyed(spec, dag::class_fingerprint(spec),
+                          backend.fingerprint(), &backend);
 }
 
 }  // namespace pmemflow::service

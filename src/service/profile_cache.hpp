@@ -111,9 +111,21 @@ class ProfileCache {
                         core::Executor executor = core::Executor(),
                         core::Recommender recommender = core::Recommender());
 
+  /// The one lookup path: the entry keyed on (`class_fp`, `device_fp`),
+  /// characterizing (and caching) on miss. `class_fp` must be
+  /// workflow::class_fingerprint(spec) and `device_fp` the fingerprint of
+  /// `backend`; the caller computes both once (the service stamps class
+  /// keys per run and device fingerprints per node). `spec` and
+  /// `backend` are read only on a miss, and `backend` may be null when
+  /// `device_fp` is default_device_fingerprint(). The shared_ptr stays
+  /// valid after eviction.
+  [[nodiscard]] Expected<std::shared_ptr<const CachedProfile>> lookup_keyed(
+      const workflow::WorkflowSpec& spec, std::uint64_t class_fp,
+      std::uint64_t device_fp, const devices::NodeDevices* backend);
+
   /// Returns the class profile on the cache's default backend (the one
-  /// its Executor was built with), characterizing (and caching) on
-  /// miss. The shared_ptr stays valid after eviction.
+  /// its Executor was built with): lookup_keyed with the digest
+  /// computed here.
   [[nodiscard]] Expected<std::shared_ptr<const CachedProfile>> lookup(
       const workflow::WorkflowSpec& spec);
 
@@ -135,11 +147,18 @@ class ProfileCache {
       const workflow::WorkflowSpec& spec,
       const devices::NodeDevices& backend) const;
 
-  /// Returns the DAG-class profile on the default backend,
-  /// characterizing (plan + measured run per feasible plan) on miss.
-  /// DAG entries live in their own LRU of the same capacity; hits,
-  /// misses, and evictions fold into the shared stats(). Errors only on
-  /// invalid specs — an unplaceable DAG caches as !placeable().
+  /// The one DAG lookup path, keyed like lookup_keyed with `class_fp`
+  /// = dag::class_fingerprint(spec). Characterizes (plan + measured run
+  /// per feasible plan) on miss. DAG entries live in their own LRU of
+  /// the same capacity; hits, misses, and evictions fold into the
+  /// shared stats(). Errors only on invalid specs — an unplaceable DAG
+  /// caches as !placeable().
+  [[nodiscard]] Expected<std::shared_ptr<const CachedDagProfile>>
+  lookup_dag_keyed(const dag::DagSpec& spec, std::uint64_t class_fp,
+                   std::uint64_t device_fp,
+                   const devices::NodeDevices* backend);
+
+  /// DAG-class profile on the default backend (digest computed here).
   [[nodiscard]] Expected<std::shared_ptr<const CachedDagProfile>> lookup_dag(
       const dag::DagSpec& spec);
 
@@ -157,7 +176,7 @@ class ProfileCache {
       const dag::DagSpec& spec, const devices::NodeDevices& backend) const;
 
   /// Device fingerprint of the default backend (what plain lookup()
-  /// keys its entries under).
+  /// keys its entries under; computed once, at construction).
   [[nodiscard]] std::uint64_t default_device_fingerprint() const noexcept {
     return default_device_fp_;
   }
@@ -192,17 +211,17 @@ class ProfileCache {
   /// Combined (class, device) cache key.
   [[nodiscard]] static std::uint64_t key_of(std::uint64_t class_fp,
                                             std::uint64_t device_fp);
-  [[nodiscard]] Expected<std::shared_ptr<const CachedProfile>> lookup_keyed(
-      const workflow::WorkflowSpec& spec, const devices::NodeDevices* backend);
+  /// Fresh characterization on the default executor when `device_fp`
+  /// is the default backend's, else on a temporary one over `*backend`.
+  [[nodiscard]] Expected<CachedProfile> characterize_keyed(
+      const workflow::WorkflowSpec& spec, std::uint64_t class_fp,
+      std::uint64_t device_fp, const devices::NodeDevices* backend) const;
   [[nodiscard]] Expected<CachedProfile> characterize_on(
-      const workflow::WorkflowSpec& spec, const core::Executor& executor,
-      std::uint64_t device_fp) const;
-  [[nodiscard]] Expected<std::shared_ptr<const CachedDagProfile>>
-  lookup_dag_keyed(const dag::DagSpec& spec,
-                   const devices::NodeDevices* backend);
-  [[nodiscard]] Expected<CachedDagProfile> characterize_dag_on(
-      const dag::DagSpec& spec, const devices::NodeDevices& backend,
-      std::uint64_t device_fp) const;
+      const workflow::WorkflowSpec& spec, std::uint64_t class_fp,
+      const core::Executor& executor, std::uint64_t device_fp) const;
+  [[nodiscard]] Expected<CachedDagProfile> characterize_dag_keyed(
+      const dag::DagSpec& spec, std::uint64_t class_fp,
+      std::uint64_t device_fp, const devices::NodeDevices* backend) const;
 
   std::size_t capacity_;
   core::Executor executor_;

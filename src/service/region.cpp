@@ -62,39 +62,20 @@ std::string Region::track_name(SlotRef ref) const {
                                        : format("node-%u", global);
 }
 
-Expected<std::shared_ptr<const CachedProfile>> Region::lookup_profile(
-    const workflow::WorkflowSpec& spec, std::uint32_t node) {
-  if (!heterogeneous()) return cache_.lookup(spec);
-  return cache_.lookup(spec, config_.node_specs[node_base_ + node].devices);
-}
-
-Expected<std::shared_ptr<const CachedDagProfile>> Region::lookup_dag_profile(
-    const dag::DagSpec& spec, std::uint32_t node) {
-  if (!heterogeneous()) return cache_.lookup_dag(spec);
-  return cache_.lookup_dag(spec, config_.node_specs[node_base_ + node].devices);
-}
-
-Expected<PairInterference> Region::lookup_interference(
-    const CachedProfile& a, const workflow::WorkflowSpec& spec_a,
-    const CachedProfile& b, const workflow::WorkflowSpec& spec_b,
-    std::uint32_t node) {
-  if (!heterogeneous()) return interference_.lookup(a, spec_a, b, spec_b);
-  return interference_.lookup(a, spec_a, b, spec_b,
-                              config_.node_specs[node_base_ + node].devices);
-}
-
 Expected<PlanResolver::Resolved> Region::resolve_profile(
-    const workflow::WorkflowSpec& spec, std::uint32_t node) {
+    const Submission& submission, std::uint32_t node) {
   const std::uint64_t hits_before = cache_.stats().hits;
-  auto profile = lookup_profile(spec, node);
+  auto profile = cache_.lookup_keyed(submission.spec, submission.class_fp,
+                                     device_fp_of(node), backend_of(node));
   if (!profile.has_value()) return Unexpected{profile.error()};
   return Resolved{*profile, cache_.stats().hits > hits_before};
 }
 
 Expected<PlanResolver::ResolvedDag> Region::resolve_dag_profile(
-    const dag::DagSpec& spec, std::uint32_t node) {
+    const Submission& submission, std::uint32_t node) {
   const std::uint64_t hits_before = cache_.stats().hits;
-  auto profile = lookup_dag_profile(spec, node);
+  auto profile = cache_.lookup_dag_keyed(*submission.dag, submission.class_fp,
+                                         device_fp_of(node), backend_of(node));
   if (!profile.has_value()) return Unexpected{profile.error()};
   return ResolvedDag{*profile, cache_.stats().hits > hits_before};
 }
@@ -103,7 +84,8 @@ Expected<PairInterference> Region::resolve_interference(
     const CachedProfile& a, const workflow::WorkflowSpec& spec_a,
     const CachedProfile& b, const workflow::WorkflowSpec& spec_b,
     std::uint32_t node) {
-  return lookup_interference(a, spec_a, b, spec_b, node);
+  return interference_.lookup_keyed(a, spec_a, b, spec_b, device_fp_of(node),
+                                    backend_of(node));
 }
 
 void Region::seed(std::vector<Submission> submissions) {
@@ -329,7 +311,7 @@ void Region::start_fresh(const PlacementCandidate& choice,
     // The planner only resolves profiles where the *placement* needed
     // one; bare steps resolve here, at commit, exactly like the legacy
     // dispatch did.
-    auto resolved = resolve_profile(submission.spec, choice.ref.node);
+    auto resolved = resolve_profile(submission, choice.ref.node);
     if (!resolved.has_value()) {
       failure_ = resolved.error();
       return;
@@ -618,24 +600,23 @@ bool Region::victim_frees_usable_slot(SlotRef victim, SimTime now) {
       // admits a packer: either way the freed slot is unusable.
       if (queue_.front().dag != nullptr) return false;
       if (other.running->submission.dag != nullptr) return false;
-      auto urgent_profile = lookup_profile(queue_.front().spec, victim.node);
+      auto urgent_profile = resolve_profile(queue_.front(), victim.node);
       if (!urgent_profile.has_value()) {
         failure_ = urgent_profile.error();
         return false;
       }
-      auto co_profile =
-          lookup_profile(other.running->submission.spec, victim.node);
+      auto co_profile = resolve_profile(other.running->submission, victim.node);
       if (!co_profile.has_value()) {
         failure_ = co_profile.error();
         return false;
       }
-      if (!colocation_compatible(**co_profile, **urgent_profile,
+      if (!colocation_compatible(*co_profile->profile, *urgent_profile->profile,
                                  config_.colocation)) {
         return false;
       }
-      auto pair = lookup_interference(
-          **co_profile, other.running->submission.spec, **urgent_profile,
-          queue_.front().spec, victim.node);
+      auto pair = resolve_interference(
+          *co_profile->profile, other.running->submission.spec,
+          *urgent_profile->profile, queue_.front().spec, victim.node);
       if (!pair.has_value()) {
         failure_ = pair.error();
         return false;

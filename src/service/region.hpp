@@ -80,6 +80,9 @@ class Region : public PlanResolver {
 
   // -- Results & merge surface --
 
+  [[nodiscard]] std::size_t completion_count() const noexcept {
+    return completions_.size();
+  }
   /// Completion records with node indices remapped to fleet-global;
   /// leaves the region empty. Records are in this region's
   /// finish-event order.
@@ -120,10 +123,10 @@ class Region : public PlanResolver {
   /// cache's default backend on a homogeneous fleet). `cache_hit` is
   /// the profile cache's hit-counter delta around the lookup.
   [[nodiscard]] Expected<Resolved> resolve_profile(
-      const workflow::WorkflowSpec& spec, std::uint32_t node) override;
+      const Submission& submission, std::uint32_t node) override;
   /// DAG profile lookup against the backend of region-local `node`.
   [[nodiscard]] Expected<ResolvedDag> resolve_dag_profile(
-      const dag::DagSpec& spec, std::uint32_t node) override;
+      const Submission& submission, std::uint32_t node) override;
   /// Interference lookup measured on the backend of region-local
   /// `node`.
   [[nodiscard]] Expected<PairInterference> resolve_interference(
@@ -151,19 +154,20 @@ class Region : public PlanResolver {
   [[nodiscard]] bool heterogeneous() const noexcept {
     return !config_.node_specs.empty();
   }
-  /// Profile lookup against the backend of region-local `node` (the
-  /// cache's default backend on a homogeneous fleet).
-  [[nodiscard]] Expected<std::shared_ptr<const CachedProfile>> lookup_profile(
-      const workflow::WorkflowSpec& spec, std::uint32_t node);
-  /// DAG profile lookup against the backend of region-local `node`.
-  [[nodiscard]] Expected<std::shared_ptr<const CachedDagProfile>>
-  lookup_dag_profile(const dag::DagSpec& spec, std::uint32_t node);
-  /// Interference lookup measured on the backend of region-local
-  /// `node`.
-  [[nodiscard]] Expected<PairInterference> lookup_interference(
-      const CachedProfile& a, const workflow::WorkflowSpec& spec_a,
-      const CachedProfile& b, const workflow::WorkflowSpec& spec_b,
-      std::uint32_t node);
+  /// Backend of region-local `node`: its NodeSpec's devices on a
+  /// heterogeneous fleet, null (the caches' default backend) otherwise.
+  [[nodiscard]] const devices::NodeDevices* backend_of(
+      std::uint32_t node) const noexcept {
+    return heterogeneous() ? &config_.node_specs[node_base_ + node].devices
+                           : nullptr;
+  }
+  /// Fingerprint of backend_of(node): the planner's per-node value on a
+  /// heterogeneous fleet, the cache's default otherwise. Both are
+  /// computed once, never per lookup.
+  [[nodiscard]] std::uint64_t device_fp_of(std::uint32_t node) const noexcept {
+    return heterogeneous() ? planner_.device_fingerprint(node)
+                           : cache_.default_device_fingerprint();
+  }
 
   /// One arrival path for fresh submissions, deferred/rejected retries,
   /// and barrier migrations.

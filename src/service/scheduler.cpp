@@ -6,18 +6,10 @@
 
 #include "common/assert.hpp"
 #include "common/strings.hpp"
+#include "service/class_key.hpp"
 #include "service/region.hpp"
 
 namespace pmemflow::service {
-
-std::size_t config_index(const core::DeploymentConfig& config) {
-  const auto configs = core::all_configs();
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    if (configs[i] == config) return i;
-  }
-  PMEMFLOW_ASSERT_MSG(false, "config not in Table I");
-  return 0;
-}
 
 OnlineScheduler::OnlineScheduler(ServiceConfig config, core::Executor executor,
                                  core::Recommender recommender)
@@ -110,7 +102,10 @@ Expected<ServiceResult> OnlineScheduler::run(
     counters_before[r] = region_allocator_counters(r);
   }
 
+  // The service owns class keys: stamp them once on its own copy, so
+  // every cache below reads a value it computed itself.
   std::vector<Submission> ordered(submissions.begin(), submissions.end());
+  stamp_class_keys(ordered);
   std::stable_sort(ordered.begin(), ordered.end(),
                    [](const Submission& a, const Submission& b) {
                      if (a.arrival_ns != b.arrival_ns) {
@@ -160,6 +155,11 @@ Expected<ServiceResult> OnlineScheduler::run(
   if (region_count == 1) {
     result.completions = regions[0]->take_completions();
   } else {
+    // Reserve the total up front: whether the last append reallocated
+    // otherwise depended on how completions split across regions.
+    std::size_t total = 0;
+    for (const auto& region : regions) total += region->completion_count();
+    result.completions.reserve(total);
     for (const auto& region : regions) {
       auto records = region->take_completions();
       result.completions.insert(result.completions.end(),

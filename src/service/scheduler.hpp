@@ -135,9 +135,10 @@ class OnlineScheduler {
                            core::Recommender recommender = core::Recommender());
 
   /// Replays `submissions` (any order; sorted internally by arrival
-  /// time, id-tie-broken) to completion or first error. The profile
-  /// cache persists across run() calls, so back-to-back runs of similar
-  /// streams hit warm.
+  /// time, id-tie-broken) to completion or first error. Each copied
+  /// submission's `class_fp` is stamped here (stamp_class_keys), so a
+  /// caller-set value is ignored. The profile cache persists across
+  /// run() calls, so back-to-back runs of similar streams hit warm.
   [[nodiscard]] Expected<ServiceResult> run(
       std::span<const Submission> submissions);
 
@@ -182,7 +183,12 @@ class OnlineScheduler {
   std::vector<std::unique_ptr<Planner>> planners_;
 };
 
-/// Position of `config` in Table I order (core::all_configs()).
-[[nodiscard]] std::size_t config_index(const core::DeploymentConfig& config);
+/// Position of `config` in Table I order (core::all_configs(): S-LocW,
+/// S-LocR, P-LocW, P-LocR): parallel mode adds 2, local-read adds 1.
+[[nodiscard]] constexpr std::size_t config_index(
+    const core::DeploymentConfig& config) noexcept {
+  return (config.mode == core::ExecutionMode::kParallel ? 2u : 0u) +
+         (config.placement == core::Placement::kLocalRead ? 1u : 0u);
+}
 
 }  // namespace pmemflow::service

@@ -46,6 +46,11 @@ struct Submission {
   std::shared_ptr<const dag::DagSpec> dag;
   SimTime arrival_ns = 0;
   Priority priority = Priority::kNormal;
+  /// Behavioural class key (service/class_key.hpp). Owned by the
+  /// service: OnlineScheduler::run stamps it on its copy of the stream,
+  /// overwriting whatever the caller set, and every profile, plan and
+  /// interference lookup reads it instead of re-fingerprinting the spec.
+  std::uint64_t class_fp = 0;
 };
 
 /// What admission control decided for one submission attempt.

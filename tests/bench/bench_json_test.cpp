@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -11,8 +12,19 @@ namespace {
 
 class BenchJsonTest : public ::testing::Test {
  protected:
-  [[nodiscard]] std::string path_for(const char* name) const {
-    return ::testing::TempDir() + "bench_json_" + name + ".json";
+  /// A file only the running test writes: named after the test itself
+  /// (each parameterized instance included), so test processes running
+  /// concurrently under `ctest -j` never share one.
+  [[nodiscard]] static std::string path_for(const char* name) {
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string test = info->test_suite_name();
+    test += '.';
+    test += info->name();
+    for (char& c : test) {
+      if (std::isalnum(static_cast<unsigned char>(c)) == 0) c = '_';
+    }
+    return ::testing::TempDir() + "bench_json_" + test + "_" + name + ".json";
   }
 
   static void write_file(const std::string& path, const std::string& text) {

@@ -31,6 +31,13 @@ bool identical_records(const CompletionRecord& a, const CompletionRecord& b) {
          a.best_runtime_ns == b.best_runtime_ns;
 }
 
+TEST(ConfigIndex, MatchesTableIOrder) {
+  const auto configs = core::all_configs();
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    EXPECT_EQ(config_index(configs[i]), i) << configs[i].label();
+  }
+}
+
 TEST(OnlineScheduler, SameSeedProducesIdenticalSchedule) {
   const auto stream = must_stream(small_stream_params());
 

@@ -250,7 +250,9 @@ TEST_F(NovaFsTest, CompactionShrinksDirectoryChain) {
 
 TEST_F(NovaFsTest, CompactionSurvivesRecovery) {
   for (int i = 0; i < 5; ++i) {
-    const auto inode = fs_.create("f" + std::to_string(i)).value();
+    std::string name = "f";
+    name += std::to_string(i);
+    const auto inode = fs_.create(name).value();
     ASSERT_TRUE(fs_.append(inode, data(static_cast<std::uint64_t>(i), 128))
                     .has_value());
   }
