@@ -1,5 +1,6 @@
 #include "service/profile_cache.hpp"
 
+#include <optional>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -144,27 +145,34 @@ Expected<CachedDagProfile> ProfileCache::characterize_dag_keyed(
         static_cast<std::uint64_t>(producer.objects_per_rank) * producer.ranks;
   }
 
+  // Default-backend DAGs run on the executor's runner; cross-backend
+  // ones on a temporary runner, like the pair path's temporary executor.
   const topo::PlatformSpec& platform = executor_.runner().platform();
-  dag::Runner runner(platform, device_fp == default_device_fp_
-                                   ? executor_.runner().devices()
-                                   : *backend);
-  runner.set_allocator_memoization(allocator_memoization_);
+  std::optional<workflow::Runner> backend_runner;
+  if (device_fp != default_device_fp_) {
+    backend_runner.emplace(platform, *backend);
+    backend_runner->set_allocator_memoization(allocator_memoization_);
+  }
+  const workflow::Runner& runner =
+      backend_runner.has_value() ? *backend_runner : executor_.runner();
   if (auto plan = dag::plan_spread(spec, platform); plan.has_value()) {
-    auto run = runner.run(spec, plan->run_options());
+    auto run = dag::run(runner, spec, plan->run_options());
     if (!run.has_value()) return Unexpected{run.error()};
     cached.spread_feasible = true;
     cached.spread = *std::move(plan);
     cached.spread_runtime_ns = run->total_ns;
   }
   if (auto plan = dag::plan_fusion(spec, platform); plan.has_value()) {
-    auto run = runner.run(spec, plan->run_options());
+    auto run = dag::run(runner, spec, plan->run_options());
     if (!run.has_value()) return Unexpected{run.error()};
     cached.fused_feasible = true;
     cached.fused = *std::move(plan);
     cached.fused_runtime_ns = run->total_ns;
   }
-  // The runner dies with this scope; fold its counters in first.
-  extra_allocator_counters_ += runner.allocator_counters();
+  // The temporary runner dies with this scope; fold its counters in.
+  if (backend_runner.has_value()) {
+    extra_allocator_counters_ += backend_runner->allocator_counters();
+  }
   return cached;
 }
 

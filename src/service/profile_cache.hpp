@@ -69,7 +69,7 @@ struct CachedDagProfile {
   dag::FusionPlan spread;
   /// Fusion search result (minimum Table II edge cost).
   dag::FusionPlan fused;
-  /// Measured dag::Runner runtimes under each feasible plan.
+  /// Measured dag::run runtimes under each feasible plan.
   SimDuration spread_runtime_ns = 0;
   SimDuration fused_runtime_ns = 0;
   /// Channel bytes all edges materialize per iteration (lease basis).

@@ -62,8 +62,8 @@ TEST(DagRunner, ChainReplaysPairByteIdentically) {
   ASSERT_TRUE(plan.has_value()) << plan.error().message;
   EXPECT_EQ(plan->ephemeral_edges, 0u);
 
-  Runner dag_runner(platform);
-  auto dag_result = dag_runner.run(dag, plan->run_options());
+  const workflow::Runner dag_runner(platform);
+  auto dag_result = run(dag_runner, dag, plan->run_options());
   ASSERT_TRUE(dag_result.has_value()) << dag_result.error().message;
 
   workflow::Runner pair_runner(platform);
@@ -96,9 +96,9 @@ TEST(DagRunner, RunsAreDeterministic) {
   auto plan = plan_fusion(dag, platform);
   ASSERT_TRUE(plan.has_value()) << plan.error().message;
 
-  Runner runner(platform);
-  auto first = runner.run(dag, plan->run_options());
-  auto second = runner.run(dag, plan->run_options());
+  const workflow::Runner runner(platform);
+  auto first = run(runner, dag, plan->run_options());
+  auto second = run(runner, dag, plan->run_options());
   ASSERT_TRUE(first.has_value()) << first.error().message;
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(first->total_ns, second->total_ns);
@@ -114,8 +114,8 @@ TEST(DagRunner, FusedPlacementMakesEdgesEphemeral) {
   DagRunOptions options;
   options.component_sockets = {0, 0, 0};
   options.edge_sockets = {0, 0};
-  Runner runner(platform);
-  auto fused = runner.run(dag, options);
+  const workflow::Runner runner(platform);
+  auto fused = run(runner, dag, options);
   ASSERT_TRUE(fused.has_value()) << fused.error().message;
   EXPECT_EQ(fused->ephemeral_edges, 2u);
   EXPECT_EQ(fused->verification_failures, 0u);
@@ -123,7 +123,7 @@ TEST(DagRunner, FusedPlacementMakesEdgesEphemeral) {
 
   auto spread = plan_spread(dag, platform);
   ASSERT_TRUE(spread.has_value());
-  auto cut = runner.run(dag, spread->run_options());
+  auto cut = run(runner, dag, spread->run_options());
   ASSERT_TRUE(cut.has_value());
   EXPECT_EQ(cut->ephemeral_edges, 0u);
   // Same payload either way; only the placement differs.
@@ -133,37 +133,37 @@ TEST(DagRunner, FusedPlacementMakesEdgesEphemeral) {
 TEST(DagRunner, RejectsInvalidPlacements) {
   const auto dag = make_chain();
   const topo::PlatformSpec platform;
-  Runner runner(platform);
+  const workflow::Runner runner(platform);
 
   DagRunOptions bad_socket;
   bad_socket.component_sockets = {0, 9};
   bad_socket.edge_sockets = {0};
-  EXPECT_FALSE(runner.run(dag, bad_socket).has_value());
+  EXPECT_FALSE(run(runner, dag, bad_socket).has_value());
 
   DagRunOptions foreign_channel;
   foreign_channel.component_sockets = {0, 0};
   foreign_channel.edge_sockets = {1};  // neither endpoint's socket
-  EXPECT_FALSE(runner.run(dag, foreign_channel).has_value());
+  EXPECT_FALSE(run(runner, dag, foreign_channel).has_value());
 
   DagRunOptions wrong_arity;
   wrong_arity.component_sockets = {0};
   wrong_arity.edge_sockets = {0};
-  EXPECT_FALSE(runner.run(dag, wrong_arity).has_value());
+  EXPECT_FALSE(run(runner, dag, wrong_arity).has_value());
 }
 
 TEST(DagRunner, RejectsCoreOversubscription) {
   auto dag = make_chain();
   topo::PlatformSpec platform;
   platform.cores_per_socket = 4;
-  Runner runner(platform);
+  const workflow::Runner runner(platform);
 
   DagRunOptions options;
   options.component_sockets = {0, 0};  // 8 ranks on a 4-core socket
   options.edge_sockets = {0};
-  EXPECT_FALSE(runner.run(dag, options).has_value());
+  EXPECT_FALSE(run(runner, dag, options).has_value());
 
   options.component_sockets = {0, 1};  // 4 + 4: fits
-  auto ok = runner.run(dag, options);
+  auto ok = run(runner, dag, options);
   EXPECT_TRUE(ok.has_value());
 }
 
