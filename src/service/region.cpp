@@ -289,6 +289,45 @@ SimDuration Region::charge_lease(RunningTask& task, std::uint32_t node,
   return overhead;
 }
 
+SimDuration Region::staged_runtime(SimDuration runtime, Bytes snapshot,
+                                   std::uint32_t iterations) {
+  if (!capacity_on() || !config_.capacity.staging.enabled() ||
+      snapshot == 0 || snapshot > config_.capacity.staging.stage_bytes) {
+    return runtime;
+  }
+  // An iteration's snapshot fits the DRAM staging tier: writes land at
+  // DRAM rather than device write bandwidth and the drain overlaps the
+  // next iteration's compute. The per-iteration saving is the bandwidth
+  // delta, capped at half the runtime — staging cannot erase the
+  // compute/read side of the pipeline.
+  const SimDuration drain =
+      transfer_time(snapshot, config_.capacity.staging.drain_write_bw);
+  const SimDuration dram =
+      transfer_time(snapshot, config_.capacity.staging.dram_write_bw);
+  SimDuration saving = drain > dram ? (drain - dram) * iterations : 0;
+  saving = std::min(saving, runtime / 2);
+  stage_hits_ += iterations;
+  return runtime - saving;
+}
+
+void Region::set_residue(RunningTask& task) const {
+  const capacity::RetentionParams& retention = config_.capacity.retention;
+  const Bytes snapshot = task.snapshot_bytes_per_iteration;
+  // Residue left cold at finish: without GC the whole version volume
+  // lingers; with retain-k GC only the retained window does.
+  task.cold_bytes =
+      !retention.gc
+          ? task.lease_bytes
+          : (retention.enabled()
+                 ? std::min(task.lease_bytes,
+                            capacity::retained_bytes(snapshot, task.iterations,
+                                                     retention))
+                 : Bytes{0});
+  task.gc_bytes = retention.gc ? capacity::gc_reclaimable_bytes(
+                                     snapshot, task.iterations, retention)
+                               : Bytes{0};
+}
+
 void Region::apply_interference(SlotRef ref, SimTime now, double factor) {
   RunningTask* task = fleet_.task_at(ref);
   PMEMFLOW_ASSERT(task != nullptr);
@@ -330,22 +369,7 @@ void Region::start_fresh(const PlacementCandidate& choice,
       profile->profile.simulation.bytes_per_iteration * submission.spec.ranks;
   const auto iterations =
       std::max<std::uint32_t>(1, submission.spec.iterations);
-  if (capacity_on() && config_.capacity.staging.enabled() && snapshot != 0 &&
-      snapshot <= config_.capacity.staging.stage_bytes) {
-    // An iteration's snapshot fits the DRAM staging tier: writes land
-    // at DRAM rather than device write bandwidth and the drain overlaps
-    // the next iteration's compute. The per-iteration saving is the
-    // bandwidth delta, capped at half the runtime — staging cannot
-    // erase the compute/read side of the pipeline.
-    const SimDuration drain =
-        transfer_time(snapshot, config_.capacity.staging.drain_write_bw);
-    const SimDuration dram =
-        transfer_time(snapshot, config_.capacity.staging.dram_write_bw);
-    SimDuration saving = drain > dram ? (drain - dram) * iterations : 0;
-    saving = std::min(saving, runtime / 2);
-    runtime -= saving;
-    stage_hits_ += iterations;
-  }
+  runtime = staged_runtime(runtime, snapshot, iterations);
 
   RunningTask task;
   task.record.id = submission.id;
@@ -376,21 +400,7 @@ void Region::start_fresh(const PlacementCandidate& choice,
             ? choice.lease_bytes
             : lease_for(config_.capacity, *profile, submission.spec);
     capacity_overhead = charge_lease(task, choice.ref.node, socket, lease);
-    const capacity::RetentionParams& retention = config_.capacity.retention;
-    // Residue left cold at finish: without GC the whole version volume
-    // lingers; with retain-k GC only the retained window does.
-    task.cold_bytes =
-        !retention.gc
-            ? task.lease_bytes
-            : (retention.enabled()
-                   ? std::min(task.lease_bytes,
-                              capacity::retained_bytes(snapshot, iterations,
-                                                       retention))
-                   : Bytes{0});
-    task.gc_bytes =
-        retention.gc
-            ? capacity::gc_reclaimable_bytes(snapshot, iterations, retention)
-            : Bytes{0};
+    set_residue(task);
   }
   task.segment_overhead_ns = capacity_overhead;
   task.submission = std::move(submission);
@@ -424,19 +434,8 @@ void Region::start_fresh_dag(const PlacementCandidate& choice,
 
   const Bytes snapshot = profile->bytes_per_iteration;
   const auto iterations = std::max<std::uint32_t>(1, profile->iterations);
-  if (capacity_on() && config_.capacity.staging.enabled() && snapshot != 0 &&
-      snapshot <= config_.capacity.staging.stage_bytes) {
-    // Same staging discount as the pair path, over the summed per-edge
-    // snapshot volume.
-    const SimDuration drain =
-        transfer_time(snapshot, config_.capacity.staging.drain_write_bw);
-    const SimDuration dram =
-        transfer_time(snapshot, config_.capacity.staging.dram_write_bw);
-    SimDuration saving = drain > dram ? (drain - dram) * iterations : 0;
-    saving = std::min(saving, runtime / 2);
-    runtime -= saving;
-    stage_hits_ += iterations;
-  }
+  // Over the summed per-edge snapshot volume.
+  runtime = staged_runtime(runtime, snapshot, iterations);
 
   RunningTask task;
   task.record.id = submission.id;
@@ -466,19 +465,7 @@ void Region::start_fresh_dag(const PlacementCandidate& choice,
     const Bytes lease = lease_for_dag(config_.capacity, *profile);
     capacity_overhead =
         charge_lease(task, choice.ref.node, plan.lease_socket, lease);
-    const capacity::RetentionParams& retention = config_.capacity.retention;
-    task.cold_bytes =
-        !retention.gc
-            ? task.lease_bytes
-            : (retention.enabled()
-                   ? std::min(task.lease_bytes,
-                              capacity::retained_bytes(snapshot, iterations,
-                                                       retention))
-                   : Bytes{0});
-    task.gc_bytes =
-        retention.gc
-            ? capacity::gc_reclaimable_bytes(snapshot, iterations, retention)
-            : Bytes{0};
+    set_residue(task);
   }
   task.segment_overhead_ns = capacity_overhead;
   task.submission = std::move(submission);

@@ -183,6 +183,13 @@ class Region : public PlanResolver {
   void commit_step(const PlannedStep& step, SimTime now);
   SimDuration charge_lease(RunningTask& task, std::uint32_t node,
                            std::uint32_t socket, Bytes lease);
+  /// `runtime` less the DRAM-staging discount when an iteration's
+  /// `snapshot` fits the stage (counting the stage hits); else as is.
+  SimDuration staged_runtime(SimDuration runtime, Bytes snapshot,
+                             std::uint32_t iterations);
+  /// Sets the task's cold residue and GC volume from its lease, snapshot
+  /// basis and iteration count under the fleet's retention policy.
+  void set_residue(RunningTask& task) const;
   void apply_interference(SlotRef ref, SimTime now, double factor);
   bool victim_frees_usable_slot(SlotRef victim, SimTime now);
   void maybe_preempt(SimTime now);
