@@ -1,9 +1,9 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "common/assert.hpp"
-#include "common/log.hpp"
 
 namespace pmemflow::sim {
 
@@ -89,9 +89,10 @@ RunStats Engine::run() {
   stats.end_time = now_;
   stats.stranded_roots = live_root_frames_.size();
   if (stats.stranded_roots != 0) {
-    PMEMFLOW_WARN("simulation drained with %zu stranded root task(s) "
-                  "(deadlock?)",
-                  stats.stranded_roots);
+    std::fprintf(stderr,
+                 "[pmemflow WARN ] simulation drained with %zu stranded root "
+                 "task(s) (deadlock?)\n",
+                 stats.stranded_roots);
   }
   // Frames finished during this run can be reclaimed now.
   reclaim_finished_roots();

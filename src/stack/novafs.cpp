@@ -1,11 +1,11 @@
 #include "stack/novafs.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 
 #include "common/assert.hpp"
 #include "common/hash.hpp"
-#include "common/log.hpp"
 #include "common/serialize.hpp"
 #include "common/strings.hpp"
 
@@ -477,8 +477,10 @@ Status NovaFs::recover() {
   while (offset != 0) {
     auto record = load_dirent(offset);
     if (!record.has_value()) {
-      PMEMFLOW_WARN("novafs recovery: truncating directory chain (%s)",
-                    record.error().message.c_str());
+      std::fprintf(stderr,
+                   "[pmemflow WARN ] novafs recovery: truncating directory "
+                   "chain (%s)\n",
+                   record.error().message.c_str());
       if (last_valid != 0) {
         relink_dirent(last_valid, 0);
         dir_tail_ = last_valid;
@@ -519,9 +521,11 @@ Status NovaFs::recover() {
     while (extent_offset != 0) {
       auto record = load_extent_record(extent_offset);
       if (!record.has_value()) {
-        PMEMFLOW_WARN("novafs recovery: truncating inode %llu chain (%s)",
-                      static_cast<unsigned long long>(inode_id),
-                      record.error().message.c_str());
+        std::fprintf(stderr,
+                     "[pmemflow WARN ] novafs recovery: truncating inode %llu "
+                     "chain (%s)\n",
+                     static_cast<unsigned long long>(inode_id),
+                     record.error().message.c_str());
         if (last_extent != 0) {
           auto previous = load_extent_record(last_extent);
           PMEMFLOW_ASSERT(previous.has_value());

@@ -1,9 +1,9 @@
 #include "stack/nvstream.hpp"
 
+#include <cstdio>
 #include <stdexcept>
 
 #include "common/assert.hpp"
-#include "common/log.hpp"
 #include "common/serialize.hpp"
 #include "common/strings.hpp"
 
@@ -398,10 +398,11 @@ Status NvStreamChannel::recover() {
       auto record = load_record(offset);
       if (!record.has_value()) {
         // Torn tail: truncate the chain here.
-        PMEMFLOW_WARN("nvstream recovery: truncating rank %u chain at "
-                      "offset %llu (%s)",
-                      rank, static_cast<unsigned long long>(offset),
-                      record.error().message.c_str());
+        std::fprintf(stderr,
+                     "[pmemflow WARN ] nvstream recovery: truncating rank %u "
+                     "chain at offset %llu (%s)\n",
+                     rank, static_cast<unsigned long long>(offset),
+                     record.error().message.c_str());
         if (last_valid != 0) {
           auto previous = load_record(last_valid);
           PMEMFLOW_ASSERT(previous.has_value());
