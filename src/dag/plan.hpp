@@ -18,6 +18,9 @@
 //   - plan_fusion: exhaustive grouping search (greedy descent when the
 //     assignment space is large), deterministic: assignments are
 //     enumerated in a fixed order and ties keep the earliest.
+//
+// A FusionPlan turns into DagRunOptions for dag::run, which replays the
+// placed DAG on workflow::Runner's job-graph engine.
 #pragma once
 
 #include <vector>

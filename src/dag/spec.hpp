@@ -19,8 +19,9 @@
 // (object_size, objects_per_rank, seed), which is what makes the strict
 // serialize/parse round trip and the behavioural fingerprint possible.
 // A two-component, one-edge DAG is exactly a pair workflow
-// (to_pair_workflow), and the DES replay of that DAG is byte-identical
-// to workflow::Runner's — pinned by tests/dag/runner_test.cpp.
+// (to_pair_workflow): dag::run lowers it to the same two-stage job
+// workflow::Runner builds for the pair, so the replays are
+// byte-identical — pinned by tests/dag/runner_test.cpp.
 #pragma once
 
 #include <cstdint>
