@@ -2,6 +2,7 @@
 // bounded pools, and the capacity-aware placement policy.
 #include <gtest/gtest.h>
 
+#include "common/hash.hpp"
 #include "service/arrivals.hpp"
 #include "service/scheduler.hpp"
 
@@ -84,6 +85,31 @@ TEST(ServiceCapacity, BoundedPoolsPopulateTheMetrics) {
   EXPECT_LE(result->metrics.residency_high_water, 64 * kGB);
   EXPECT_GT(result->metrics.gc_bytes, 0u);
   EXPECT_GT(result->metrics.stage_hits, 0u);
+}
+
+// Exact outcome of a bounded run with the DRAM stage and retain-2 GC
+// on: the staging discount moves every charged runtime and finish, the
+// residue accounting the GC volume and the pool high water. The
+// relational tests above hold for any discount.
+TEST(ServiceCapacity, StagedRetainedRunIsPinned) {
+  const auto stream = capacity_stream();
+  ServiceConfig config = base_config(stream.size());
+  config.capacity = bounded_params(64 * kGB);
+  auto result = OnlineScheduler(config).run(stream);
+  ASSERT_TRUE(result.has_value());
+  Hasher64 schedule;
+  for (const CompletionRecord& record : result->completions) {
+    schedule.update_u64(record.id);
+    schedule.update_u64(record.node);
+    schedule.update_u64(record.start_ns);
+    schedule.update_u64(record.finish_ns);
+    schedule.update_u64(record.config_runtime_ns);
+  }
+  EXPECT_EQ(schedule.digest(), 0x2519b063d9b3dd9aULL);
+  EXPECT_EQ(result->metrics.stage_hits, 360u);
+  EXPECT_EQ(result->metrics.gc_bytes, 210386288640u);
+  EXPECT_EQ(result->metrics.evictions, 0u);
+  EXPECT_EQ(result->metrics.residency_high_water, 63619233792u);
 }
 
 TEST(ServiceCapacity, CapacityBlindPlacementEvictsColdResidue) {
