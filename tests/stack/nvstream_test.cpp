@@ -47,7 +47,76 @@ class NvStreamTest : public ::testing::Test {
     }
     return objects;
   }
+
+  /// What a scripted channel leaves on media.
+  struct MediaImage {
+    std::uint64_t digest = 0;  // of the bytes [0, high_water())
+    Bytes reserved = 0;
+    Bytes high_water = 0;
+  };
+
+  /// Runs five versions over `ranks` ranks on a fresh device: every
+  /// rank writes (real objects and synthetic runs alternate by rank and
+  /// version), the version commits, every rank reads it back, and
+  /// versions older than the last two are recycled. Ends with a crash
+  /// and recovery. high_water() >= reserved(), so the digest also covers
+  /// the extents that recycling released below the mark.
+  static MediaImage scripted_media_image(std::uint32_t ranks) {
+    sim::Engine engine;
+    devices::OptaneDevice device{engine, /*socket=*/0, 8ULL * kGiB};
+    NvStreamChannel channel{device, "pinned", ranks};
+    const auto read_all = [&](std::uint64_t version) {
+      std::vector<SnapshotPart> parts(ranks);
+      for (std::uint32_t r = 0; r < ranks; ++r) {
+        engine.spawn(channel.read_part(/*from=*/1, version, r, parts[r], 0.0));
+      }
+      engine.run_to_completion();
+      EXPECT_EQ(channel.stats().checksum_failures, 0u);
+    };
+    for (std::uint64_t v = 1; v <= 5; ++v) {
+      for (std::uint32_t r = 0; r < ranks; ++r) {
+        SnapshotPart part;
+        if ((r + v) % 2 == 0) {
+          part = make_real_objects(1 + static_cast<int>(r % 3), 256 + 64 * r,
+                                   derive_seed(v, r));
+        } else {
+          part = SyntheticRun{.first_index = 10 * v,
+                              .count = 4 + r,
+                              .object_size = 4608,
+                              .base_seed = derive_seed(v, r, 7)};
+        }
+        engine.spawn(channel.write_part(/*from=*/0, v, r, std::move(part),
+                                        0.0));
+      }
+      engine.run_to_completion();
+      channel.commit_version(v);
+      read_all(v);
+      if (v >= 3) channel.recycle_version(v - 2);
+    }
+    channel.drop_volatile_state();
+    EXPECT_TRUE(channel.recover().has_value());
+    read_all(5);
+
+    const pmemsim::PmemSpace& space = device.space();
+    std::vector<std::byte> bytes(static_cast<std::size_t>(space.high_water()));
+    space.read(0, bytes);
+    return {hash_bytes(bytes), space.reserved(), space.high_water()};
+  }
 };
+
+TEST_F(NvStreamTest, OnMediaImageIsPinned) {
+  // Captured once; the superblock and record layouts, their CRCs, the
+  // tail relink on append and the extent reuse after recycling must
+  // all leave exactly these bytes.
+  const MediaImage eight = scripted_media_image(8);
+  EXPECT_EQ(eight.digest, 0x2b0a848ff15b2c57ULL);
+  EXPECT_EQ(eight.reserved, 294'176u);
+  EXPECT_EQ(eight.high_water, 479'264u);
+  const MediaImage twenty_four = scripted_media_image(24);
+  EXPECT_EQ(twenty_four.digest, 0xb138b0366320996aULL);
+  EXPECT_EQ(twenty_four.reserved, 1'777'920u);
+  EXPECT_EQ(twenty_four.high_water, 2'760'320u);
+}
 
 TEST_F(NvStreamTest, RealObjectsRoundTrip) {
   auto objects = make_real_objects(5, 1024, 7);
