@@ -31,9 +31,10 @@ std::uint64_t hash_mix(std::uint64_t hash, std::uint64_t value) {
 
 ClassCensus OptaneRateAllocator::make_census() const {
   ClassCensus census;
-  for (const View& view : views_) {
-    const bool is_read = view.spec->kind == sim::IoKind::kRead;
-    const bool is_local = view.spec->locality == sim::Locality::kLocal;
+  for (const std::uint32_t index : class_of_) {
+    const View& view = views_[index];
+    const bool is_read = view.cls.kind == sim::IoKind::kRead;
+    const bool is_local = view.cls.locality == sim::Locality::kLocal;
     if (is_read) {
       (is_local ? census.local_read : census.remote_read) += view.utilization;
     } else {
@@ -105,37 +106,46 @@ void OptaneRateAllocator::allocate(std::span<sim::Flow* const> flows) {
 }
 
 void OptaneRateAllocator::solve(std::span<sim::Flow* const> flows) {
-  views_.clear();
-  views_.reserve(flows.size());
-  for (const sim::Flow* flow : flows) {
-    View view;
-    view.spec = &flow->spec;
-    view.small = model_.is_small(flow->spec.op_size);
-    view.off_device_ns =
-        flow->spec.sw_ns_per_op + flow->spec.compute_ns_per_op;
-    // Start the fixed point from the *uncongested* utilization (per-op
-    // device time at the per-thread rate). Starting from u = 1 can trap
-    // low-duty flows in a congested equilibrium that their offered load
-    // never justifies (the iteration map has multiple fixed points once
-    // contention feedback is strong).
-    const double optimistic_rate =
-        model_.per_thread_cap(view.spec->kind, view.small);
-    const double optimistic_dev =
-        static_cast<double>(view.spec->op_size) / optimistic_rate;
-    view.utilization =
-        optimistic_dev / (optimistic_dev + view.off_device_ns +
-                          model_.op_latency_ns(view.spec->kind,
-                                               view.spec->locality, 1.0));
-    view.device_rate = 0.0;
-    view.progress_rate = 0.0;
-    views_.push_back(view);
-  }
+  // Maintainer aid: PMEMFLOW_TRACE_ALLOC=1 prints the fixed-point
+  // trajectory (used when diagnosing contention equilibria). Read once
+  // per process.
+  static const bool trace = std::getenv("PMEMFLOW_TRACE_ALLOC") != nullptr;
 
-  // Raw count of small-access flows (static per call): drives the
-  // per-op stall multiplier without fixed-point feedback.
+  // Group flows by class in first-appearance order. Raw count of
+  // small-access flows (static per call): drives the per-op stall
+  // multiplier without fixed-point feedback.
+  views_.clear();
+  class_of_.clear();
+  class_of_.reserve(key_.size());
   double small_flow_count = 0.0;
-  for (const View& view : views_) {
-    if (view.small) small_flow_count += 1.0;
+  for (const FlowClass& cls : key_) {
+    auto it = std::find_if(views_.begin(), views_.end(),
+                           [&](const View& view) { return view.cls == cls; });
+    if (it == views_.end()) {
+      View view;
+      view.cls = cls;
+      view.small = model_.is_small(cls.op_size);
+      // Start the fixed point from the *uncongested* utilization (per-op
+      // device time at the per-thread rate). Starting from u = 1 can
+      // trap low-duty flows in a congested equilibrium that their
+      // offered load never justifies (the iteration map has multiple
+      // fixed points once contention feedback is strong).
+      const double optimistic_rate =
+          model_.per_thread_cap(cls.kind, view.small);
+      const double optimistic_dev =
+          static_cast<double>(cls.op_size) / optimistic_rate;
+      view.utilization =
+          optimistic_dev /
+          (optimistic_dev + cls.off_device_ns +
+           model_.op_latency_ns(cls.kind, cls.locality, 1.0));
+      view.rate = 0.0;
+      view.media_share = 0.0;
+      view.progress_rate = 0.0;
+      views_.push_back(view);
+      it = views_.end() - 1;
+    }
+    class_of_.push_back(static_cast<std::uint32_t>(it - views_.begin()));
+    if (it->small) small_flow_count += 1.0;
   }
   const double stall_excess = std::max(
       0.0, small_flow_count - model_.params().small_stall_knee);
@@ -162,20 +172,18 @@ void OptaneRateAllocator::solve(std::span<sim::Flow* const> flows) {
     const double small_factor =
         model_.small_access_factor(small_flow_count);
 
-    // Pass 1: per-flow unconstrained device rates (class share bounded
+    // Pass 1: per-class unconstrained device rates (class share bounded
     // by per-thread and interconnect ceilings).
-    rates_.assign(views_.size(), 0.0);
-    for (std::size_t i = 0; i < views_.size(); ++i) {
-      const View& view = views_[i];
-      const bool is_read = view.spec->kind == sim::IoKind::kRead;
-      const bool is_remote = view.spec->locality == sim::Locality::kRemote;
+    for (View& view : views_) {
+      const bool is_read = view.cls.kind == sim::IoKind::kRead;
+      const bool is_remote = view.cls.locality == sim::Locality::kRemote;
       const double n_kind = is_read ? census.reads() : census.writes();
       const double n_remote_kind =
           is_read ? census.remote_read : census.remote_write;
+      const Rate class_cap = is_read ? read_cap : write_cap;
 
-      double rate = (is_read ? read_cap : write_cap) / std::max(1.0, n_kind);
-      rate = std::min(rate,
-                      model_.per_thread_cap(view.spec->kind, view.small));
+      double rate = class_cap / std::max(1.0, n_kind);
+      rate = std::min(rate, model_.per_thread_cap(view.cls.kind, view.small));
       if (is_remote) {
         if (is_read) {
           // Remote reads are strictly slower than local ones (1.3x at
@@ -189,41 +197,38 @@ void OptaneRateAllocator::solve(std::span<sim::Flow* const> flows) {
         }
       }
       if (view.small) rate *= small_factor;
-      rates_[i] = std::max(rate, 1e-6);  // keep progress strictly positive
+      view.rate = std::max(rate, 1e-6);  // keep progress strictly positive
+      view.media_share =
+          view.utilization * view.rate / std::max(class_cap, 1e-9);
     }
 
     // Shared-media constraint: reads and writes are serviced by the
-    // same DIMMs, so the duty-cycle-weighted media time of all classes
+    // same DIMMs, so the duty-cycle-weighted media time of all flows
     // cannot exceed 1. This is what removes the "parallel gets both
     // class peaks simultaneously" free lunch: a co-scheduled
     // reader+writer pair shares the media, it does not double it.
     double media_utilization = 0.0;
-    for (std::size_t i = 0; i < views_.size(); ++i) {
-      const bool is_read = views_[i].spec->kind == sim::IoKind::kRead;
-      const Rate class_cap = is_read ? read_cap : write_cap;
-      media_utilization +=
-          views_[i].utilization * rates_[i] / std::max(class_cap, 1e-9);
+    for (const std::uint32_t index : class_of_) {
+      media_utilization += views_[index].media_share;
     }
     if (media_utilization > 1.0) {
-      for (double& rate : rates_) rate /= media_utilization;
+      for (View& view : views_) view.rate /= media_utilization;
     }
 
     // Pass 2: per-op times, progress rates, and the utilization update.
     double max_delta = 0.0;
-    for (std::size_t i = 0; i < views_.size(); ++i) {
-      View& view = views_[i];
-      const bool is_read = view.spec->kind == sim::IoKind::kRead;
+    for (View& view : views_) {
+      const bool is_read = view.cls.kind == sim::IoKind::kRead;
       const double n_kind = is_read ? census.reads() : census.writes();
 
       const double latency =
-          model_.op_latency_ns(view.spec->kind, view.spec->locality, n_kind);
-      const double op_bytes = static_cast<double>(view.spec->op_size);
-      const double device_ns = op_bytes / rates_[i];
-      double op_ns = view.off_device_ns + latency + device_ns;
+          model_.op_latency_ns(view.cls.kind, view.cls.locality, n_kind);
+      const double op_bytes = static_cast<double>(view.cls.op_size);
+      const double device_ns = op_bytes / view.rate;
+      double op_ns = view.cls.off_device_ns + latency + device_ns;
       if (view.small) op_ns *= small_stall;
       const double utilization = device_ns / op_ns;
 
-      view.device_rate = rates_[i];
       view.progress_rate = op_bytes / op_ns;
 
       const double next =
@@ -232,9 +237,7 @@ void OptaneRateAllocator::solve(std::span<sim::Flow* const> flows) {
       view.utilization = next;
     }
 
-    // Maintainer aid: PMEMFLOW_TRACE_ALLOC=1 prints the fixed-point
-    // trajectory (used when diagnosing contention equilibria).
-    if (std::getenv("PMEMFLOW_TRACE_ALLOC") != nullptr) {
+    if (trace) {
       std::fprintf(stderr, "iter %d: lw=%.3f lr=%.3f small=%.3f delta=%.5f\n",
                    report.iterations, census.local_write, census.local_read,
                    census.small, max_delta);
@@ -246,8 +249,9 @@ void OptaneRateAllocator::solve(std::span<sim::Flow* const> flows) {
   }
 
   for (std::size_t i = 0; i < flows.size(); ++i) {
-    flows[i]->device_rate = views_[i].device_rate;
-    flows[i]->progress_rate = views_[i].progress_rate;
+    const View& view = views_[class_of_[i]];
+    flows[i]->device_rate = view.rate;
+    flows[i]->progress_rate = view.progress_rate;
   }
   last_report_ = report;
 }

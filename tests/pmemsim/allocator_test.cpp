@@ -2,11 +2,176 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <vector>
 
+#include "common/rng.hpp"
+
 namespace pmemflow::pmemsim {
 namespace {
+
+/// Rates and report of one per-flow fixed-point solve.
+struct OracleSolution {
+  std::vector<double> device_rate;
+  std::vector<double> progress_rate;
+  AllocationReport report;
+};
+
+/// The fixed point as OptaneRateAllocator solved it when every flow
+/// carried its own iterate, kept verbatim as the oracle for the solver
+/// that runs once per flow class.
+OracleSolution per_flow_fixed_point(const BandwidthModel& model,
+                                    const std::vector<sim::Flow>& flows) {
+  constexpr int kMaxIterations = 80;
+  constexpr double kTolerance = 1e-6;
+  constexpr double kDamping = 0.5;
+  struct View {
+    const sim::FlowSpec* spec;
+    bool small;
+    double off_device_ns;
+    double utilization;
+    double device_rate;
+    double progress_rate;
+  };
+  std::vector<View> views;
+  for (const sim::Flow& flow : flows) {
+    View view;
+    view.spec = &flow.spec;
+    view.small = model.is_small(flow.spec.op_size);
+    view.off_device_ns = flow.spec.sw_ns_per_op + flow.spec.compute_ns_per_op;
+    const double optimistic_rate =
+        model.per_thread_cap(view.spec->kind, view.small);
+    const double optimistic_dev =
+        static_cast<double>(view.spec->op_size) / optimistic_rate;
+    view.utilization =
+        optimistic_dev / (optimistic_dev + view.off_device_ns +
+                          model.op_latency_ns(view.spec->kind,
+                                              view.spec->locality, 1.0));
+    view.device_rate = 0.0;
+    view.progress_rate = 0.0;
+    views.push_back(view);
+  }
+  const auto make_census = [&] {
+    ClassCensus census;
+    for (const View& view : views) {
+      const bool is_read = view.spec->kind == sim::IoKind::kRead;
+      const bool is_local = view.spec->locality == sim::Locality::kLocal;
+      if (is_read) {
+        (is_local ? census.local_read : census.remote_read) +=
+            view.utilization;
+      } else {
+        (is_local ? census.local_write : census.remote_write) +=
+            view.utilization;
+        if (!is_local && !view.small) {
+          census.remote_write_large += view.utilization;
+        }
+      }
+      if (view.small) census.small += view.utilization;
+    }
+    return census;
+  };
+
+  double small_flow_count = 0.0;
+  for (const View& view : views) {
+    if (view.small) small_flow_count += 1.0;
+  }
+  const double stall_excess =
+      std::max(0.0, small_flow_count - model.params().small_stall_knee);
+  const double small_stall =
+      1.0 + model.params().small_stall_quad * stall_excess * stall_excess;
+
+  AllocationReport report;
+  std::vector<double> rates;
+  for (report.iterations = 1; report.iterations <= kMaxIterations;
+       ++report.iterations) {
+    const ClassCensus census = make_census();
+    report.census = census;
+
+    const double thrash = model.cache_thrash_factor(census.total());
+    const Rate read_cap =
+        model.read_media_bandwidth(std::max(1.0, census.reads())) *
+        model.mixed_read_factor(census) * thrash;
+    const Rate write_cap =
+        model.write_media_bandwidth(std::max(1.0, census.writes())) *
+        model.mixed_write_factor(census) * thrash;
+    const Rate remote_write_cap =
+        model.remote_cap(sim::IoKind::kWrite, census);
+    const double small_factor = model.small_access_factor(small_flow_count);
+
+    rates.assign(views.size(), 0.0);
+    for (std::size_t i = 0; i < views.size(); ++i) {
+      const View& view = views[i];
+      const bool is_read = view.spec->kind == sim::IoKind::kRead;
+      const bool is_remote = view.spec->locality == sim::Locality::kRemote;
+      const double n_kind = is_read ? census.reads() : census.writes();
+      const double n_remote_kind =
+          is_read ? census.remote_read : census.remote_write;
+
+      double rate = (is_read ? read_cap : write_cap) / std::max(1.0, n_kind);
+      rate = std::min(rate, model.per_thread_cap(view.spec->kind, view.small));
+      if (is_remote) {
+        if (is_read) {
+          rate *= model.upi().read_degradation(census.remote_read);
+          rate = std::min(rate, model.upi().link_cap() /
+                                    std::max(1.0, n_remote_kind));
+        } else {
+          rate = std::min(rate,
+                          remote_write_cap / std::max(1.0, n_remote_kind));
+        }
+      }
+      if (view.small) rate *= small_factor;
+      rates[i] = std::max(rate, 1e-6);
+    }
+
+    double media_utilization = 0.0;
+    for (std::size_t i = 0; i < views.size(); ++i) {
+      const bool is_read = views[i].spec->kind == sim::IoKind::kRead;
+      const Rate class_cap = is_read ? read_cap : write_cap;
+      media_utilization +=
+          views[i].utilization * rates[i] / std::max(class_cap, 1e-9);
+    }
+    if (media_utilization > 1.0) {
+      for (double& rate : rates) rate /= media_utilization;
+    }
+
+    double max_delta = 0.0;
+    for (std::size_t i = 0; i < views.size(); ++i) {
+      View& view = views[i];
+      const bool is_read = view.spec->kind == sim::IoKind::kRead;
+      const double n_kind = is_read ? census.reads() : census.writes();
+
+      const double latency =
+          model.op_latency_ns(view.spec->kind, view.spec->locality, n_kind);
+      const double op_bytes = static_cast<double>(view.spec->op_size);
+      const double device_ns = op_bytes / rates[i];
+      double op_ns = view.off_device_ns + latency + device_ns;
+      if (view.small) op_ns *= small_stall;
+      const double utilization = device_ns / op_ns;
+
+      view.device_rate = rates[i];
+      view.progress_rate = op_bytes / op_ns;
+
+      const double next =
+          kDamping * view.utilization + (1.0 - kDamping) * utilization;
+      max_delta = std::max(max_delta, std::abs(next - view.utilization));
+      view.utilization = next;
+    }
+    if (max_delta < kTolerance) {
+      report.converged = true;
+      break;
+    }
+  }
+
+  OracleSolution solution;
+  for (const View& view : views) {
+    solution.device_rate.push_back(view.device_rate);
+    solution.progress_rate.push_back(view.progress_rate);
+  }
+  solution.report = report;
+  return solution;
+}
 
 class AllocatorTest : public ::testing::Test {
  protected:
@@ -370,6 +535,63 @@ TEST_F(AllocatorTest, DeterministicAcrossCalls) {
   allocate(b);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a[i].progress_rate, b[i].progress_rate);
+  }
+}
+
+TEST_F(AllocatorTest, PerClassSolveMatchesPerFlowOracle) {
+  // Seeded random flow sets: 1-48 flows drawn from 1-6 classes in
+  // interleaved order, small and large ops, local and remote, read and
+  // write, memoization on and off. Every rate and the whole report must
+  // match the per-flow oracle bit for bit.
+  const BandwidthModel model(OptaneParams{}, interconnect::UpiModel{});
+  const Bytes op_sizes[] = {256, 2 * kKB, 4608, 64 * kKiB, 2 * kMiB,
+                            64 * kMB};
+  const double off_device_ns[] = {0.0, 350.0, 2'500.0, 100'000.0};
+  Xoshiro256 rng(2021);
+  for (int trial = 0; trial < 400; ++trial) {
+    SCOPED_TRACE(trial);
+    std::vector<sim::Flow> classes;
+    const std::uint64_t class_count = 1 + rng.below(6);
+    for (std::uint64_t c = 0; c < class_count; ++c) {
+      classes.push_back(make_flow(
+          rng.below(2) == 0 ? sim::IoKind::kRead : sim::IoKind::kWrite,
+          rng.below(2) == 0 ? sim::Locality::kLocal : sim::Locality::kRemote,
+          op_sizes[rng.below(std::size(op_sizes))],
+          off_device_ns[rng.below(std::size(off_device_ns))],
+          off_device_ns[rng.below(std::size(off_device_ns))]));
+    }
+    std::vector<sim::Flow> flows;
+    const std::uint64_t flow_count = 1 + rng.below(48);
+    for (std::uint64_t i = 0; i < flow_count; ++i) {
+      flows.push_back(classes[rng.below(class_count)]);
+    }
+    const OracleSolution oracle = per_flow_fixed_point(model, flows);
+
+    const bool memoize = trial % 2 == 0;
+    OptaneRateAllocator allocator(model);
+    allocator.set_memoization(memoize);
+    std::vector<sim::Flow*> pointers;
+    for (auto& flow : flows) pointers.push_back(&flow);
+    // With memoization on, the second call replays the cached solution.
+    for (int call = 0; call < (memoize ? 2 : 1); ++call) {
+      allocator.allocate(pointers);
+      for (std::size_t i = 0; i < flows.size(); ++i) {
+        EXPECT_EQ(flows[i].device_rate, oracle.device_rate[i]) << i;
+        EXPECT_EQ(flows[i].progress_rate, oracle.progress_rate[i]) << i;
+      }
+      const AllocationReport& report = allocator.last_report();
+      EXPECT_EQ(report.iterations, oracle.report.iterations);
+      EXPECT_EQ(report.converged, oracle.report.converged);
+      EXPECT_EQ(report.census.local_read, oracle.report.census.local_read);
+      EXPECT_EQ(report.census.local_write, oracle.report.census.local_write);
+      EXPECT_EQ(report.census.remote_read, oracle.report.census.remote_read);
+      EXPECT_EQ(report.census.remote_write,
+                oracle.report.census.remote_write);
+      EXPECT_EQ(report.census.small, oracle.report.census.small);
+      EXPECT_EQ(report.census.remote_write_large,
+                oracle.report.census.remote_write_large);
+    }
+    EXPECT_EQ(allocator.counters().solves, 1u);
   }
 }
 
