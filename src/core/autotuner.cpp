@@ -19,12 +19,11 @@ Expected<TuningReport> AutoTuner::tune(
     const workflow::WorkflowSpec& spec) const {
   auto sweep = executor_.sweep(spec);
   if (!sweep.has_value()) return Unexpected{sweep.error()};
-  auto profile = characterizer_.profile(spec);
-  if (!profile.has_value()) return Unexpected{profile.error()};
 
   TuningReport report;
   report.sweep = *std::move(sweep);
-  report.profile = *std::move(profile);
+  report.profile = Characterizer::from_sweep(spec, report.sweep,
+                                             executor_.runner().devices());
   report.best = report.sweep.best().config;
   report.rule_based = recommender_.rule_based(report.profile, spec);
   report.model_based = recommender_.model_based(report.profile, spec);

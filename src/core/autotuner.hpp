@@ -28,9 +28,7 @@ class AutoTuner {
  public:
   explicit AutoTuner(Executor executor = Executor(),
                      Recommender recommender = Recommender())
-      : executor_(std::move(executor)),
-        characterizer_(executor_),
-        recommender_(recommender) {}
+      : executor_(std::move(executor)), recommender_(recommender) {}
 
   [[nodiscard]] Expected<TuningReport> tune(
       const workflow::WorkflowSpec& spec) const;
@@ -45,7 +43,6 @@ class AutoTuner {
                           const DeploymentConfig& config);
 
   Executor executor_;
-  Characterizer characterizer_;
   Recommender recommender_;
 };
 

@@ -16,6 +16,11 @@ Level classify_fraction(double fraction) {
   return Level::kHigh;
 }
 
+constexpr DeploymentConfig kSerialLocW{ExecutionMode::kSerial,
+                                       Placement::kLocalWrite};
+constexpr DeploymentConfig kSerialLocR{ExecutionMode::kSerial,
+                                       Placement::kLocalRead};
+
 }  // namespace
 
 const char* to_string(Level level) noexcept {
@@ -44,8 +49,9 @@ WorkflowFeatures Characterizer::derive_features(
   return features;
 }
 
-Expected<WorkflowProfile> Characterizer::profile(
-    const workflow::WorkflowSpec& spec) const {
+WorkflowProfile Characterizer::from_sweep(
+    const workflow::WorkflowSpec& spec, const ConfigSweep& sweep,
+    const devices::NodeDevices& devices) {
   // Standalone component times: in serial mode the writer phase is
   // unaffected by the readers, so S-LocW's writer span *is* the
   // standalone node-local writer runtime; S-LocR's reader span is the
@@ -53,15 +59,11 @@ Expected<WorkflowProfile> Characterizer::profile(
   // iteration is known exactly from the component model, so
   // io_time = iteration_time - compute_time (the paper's definition:
   // each iteration is composed of a compute and an I/O phase, §IV-A).
-  const DeploymentConfig serial_locw{ExecutionMode::kSerial,
-                                     Placement::kLocalWrite};
-  const DeploymentConfig serial_locr{ExecutionMode::kSerial,
-                                     Placement::kLocalRead};
-
-  auto base_w = executor_.execute(spec, serial_locw);
-  if (!base_w.has_value()) return Unexpected{base_w.error()};
-  auto base_r = executor_.execute(spec, serial_locr);
-  if (!base_r.has_value()) return Unexpected{base_r.error()};
+  PMEMFLOW_ASSERT(sweep.results.size() >= 2);
+  PMEMFLOW_ASSERT(sweep.results[0].config == kSerialLocW);
+  PMEMFLOW_ASSERT(sweep.results[1].config == kSerialLocR);
+  const workflow::RunResult& serial_locw = sweep.results[0].run;
+  const workflow::RunResult& serial_locr = sweep.results[1].run;
 
   const double iters = static_cast<double>(spec.iterations);
   const stack::SnapshotPart part =
@@ -70,14 +72,14 @@ Expected<WorkflowProfile> Characterizer::profile(
   WorkflowProfile profile;
   profile.ranks = spec.ranks;
   profile.simulation.iteration_ns =
-      static_cast<double>(base_w->run.writer_span_ns) / iters;
+      static_cast<double>(serial_locw.writer_span_ns) / iters;
   const double sim_compute =
       spec.simulation->compute_ns_per_iteration(0, spec.ranks);
   profile.simulation.io_ns =
       std::max(0.0, profile.simulation.iteration_ns - sim_compute);
 
   profile.analytics.iteration_ns =
-      static_cast<double>(base_r->run.reader_span_ns()) / iters;
+      static_cast<double>(serial_locr.reader_span_ns()) / iters;
   const double ana_compute =
       spec.analytics->compute_ns_per_object(stack::part_op_size(part)) *
       static_cast<double>(stack::part_object_count(part));
@@ -94,8 +96,21 @@ Expected<WorkflowProfile> Characterizer::profile(
 
   profile.features = derive_features(
       profile.simulation, profile.analytics, spec.ranks,
-      executor_.runner().devices().primary().small_access_threshold());
+      devices.primary().small_access_threshold());
   return profile;
+}
+
+Expected<WorkflowProfile> Characterizer::profile(
+    const workflow::WorkflowSpec& spec) const {
+  // The serial half of a sweep: the two standalone runs, in Table I
+  // order.
+  ConfigSweep serial;
+  for (const DeploymentConfig& config : {kSerialLocW, kSerialLocR}) {
+    auto result = executor_.execute(spec, config);
+    if (!result.has_value()) return Unexpected{result.error()};
+    serial.results.push_back(*std::move(result));
+  }
+  return from_sweep(spec, serial, executor_.runner().devices());
 }
 
 }  // namespace pmemflow::core

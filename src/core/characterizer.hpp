@@ -4,9 +4,13 @@
 // iteration spent in I/O when the component runs standalone — serially,
 // with node-local PMEM access (§IV-C: "the ratio of I/O time /
 // Iteration time when the application is executing standalone"). The
-// characterizer obtains it exactly that way: it simulates the component
-// standalone, once as specified and once with its compute zeroed, and
-// divides the two runtimes.
+// serial Table I runs are exactly those standalone runs: S-LocW's
+// writer span is the simulation's, S-LocR's reader span the analytics'.
+// Each iteration's compute share is known exactly from the component
+// model, so I/O time is the span per iteration minus that compute
+// (§IV-A: an iteration is a compute phase plus an I/O phase).
+// profile() replays the two serial configurations; a caller that has
+// already swept all four derives the same profile from its sweep.
 //
 // Also extracts the static features a scheduler can read off the launch
 // configuration: object size class, concurrency class, per-iteration
@@ -26,7 +30,8 @@ enum class Level { kNil, kLow, kMedium, kHigh };
 struct ComponentProfile {
   /// Standalone per-iteration wall time (node-local, serial), ns.
   double iteration_ns = 0.0;
-  /// Same with the compute phase removed: pure I/O time, ns.
+  /// iteration_ns minus the model's compute per iteration: pure I/O
+  /// time, ns.
   double io_ns = 0.0;
   /// io_ns / iteration_ns (the paper's I/O index), in [0, 1].
   [[nodiscard]] double io_index() const noexcept {
@@ -63,9 +68,17 @@ class Characterizer {
   explicit Characterizer(Executor executor = Executor())
       : executor_(std::move(executor)) {}
 
-  /// Simulates the standalone runs and derives features.
+  /// Simulates the two standalone (serial) runs and derives the
+  /// profile from them.
   [[nodiscard]] Expected<WorkflowProfile> profile(
       const workflow::WorkflowSpec& spec) const;
+
+  /// The same profile from a sweep of `spec` on `devices`, which already
+  /// holds both standalone runs (S-LocW and S-LocR, results[0] and
+  /// results[1] in Table I order), so it costs no replay.
+  [[nodiscard]] static WorkflowProfile from_sweep(
+      const workflow::WorkflowSpec& spec, const ConfigSweep& sweep,
+      const devices::NodeDevices& devices);
 
   /// Feature discretization, exposed for tests.
   [[nodiscard]] static WorkflowFeatures derive_features(

@@ -14,7 +14,6 @@ ProfileCache::ProfileCache(std::size_t capacity, core::Executor executor,
                            core::Recommender recommender)
     : capacity_(capacity),
       executor_(std::move(executor)),
-      characterizer_(executor_),
       recommender_(recommender),
       default_device_fp_(executor_.runner().devices().fingerprint()),
       allocator_memoization_(executor_.runner().allocator_memoization()) {
@@ -32,19 +31,16 @@ std::uint64_t ProfileCache::key_of(std::uint64_t class_fp,
 Expected<CachedProfile> ProfileCache::characterize_on(
     const workflow::WorkflowSpec& spec, std::uint64_t class_fp,
     const core::Executor& executor, std::uint64_t device_fp) const {
+  auto sweep = executor.sweep(spec);
+  if (!sweep.has_value()) return Unexpected{sweep.error()};
+
   CachedProfile cached;
   cached.fingerprint = class_fp;
   cached.device_fingerprint = device_fp;
-
-  const core::Characterizer characterizer{executor};
-  auto profile = characterizer.profile(spec);
-  if (!profile.has_value()) return Unexpected{profile.error()};
-  cached.profile = *profile;
-  cached.rule_based = recommender_.rule_based(*profile, spec);
-  cached.model_based = recommender_.model_based(*profile, spec);
-
-  auto sweep = executor.sweep(spec);
-  if (!sweep.has_value()) return Unexpected{sweep.error()};
+  cached.profile = core::Characterizer::from_sweep(
+      spec, *sweep, executor.runner().devices());
+  cached.rule_based = recommender_.rule_based(cached.profile, spec);
+  cached.model_based = recommender_.model_based(cached.profile, spec);
   PMEMFLOW_ASSERT(sweep->results.size() == cached.runtime_ns.size());
   for (std::size_t i = 0; i < cached.runtime_ns.size(); ++i) {
     cached.runtime_ns[i] = sweep->results[i].run.total_ns;

@@ -1,8 +1,9 @@
 // Memoized workflow characterization + recommendation (LRU).
 //
-// Characterizing a workflow costs two standalone component runs plus —
-// for the oracle data the service's slowdown metric needs — a full
-// four-configuration sweep. Online, the same workflow *classes* recur
+// Characterizing a workflow costs a four-configuration sweep: its two
+// serial runs are the standalone component runs the profile is derived
+// from (§IV-C), and its four runtimes are the oracle data the service's
+// slowdown metric needs. Online, the same workflow *classes* recur
 // constantly (the paper's premise: I/O indexes are reusable per-class
 // profiles, §IV-C), so the service memoizes the whole characterization
 // bundle keyed by (workflow::class_fingerprint, device fingerprint of
@@ -225,7 +226,6 @@ class ProfileCache {
 
   std::size_t capacity_;
   core::Executor executor_;
-  core::Characterizer characterizer_;
   core::Recommender recommender_;
   std::uint64_t default_device_fp_;
   bool allocator_memoization_;

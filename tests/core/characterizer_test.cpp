@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "devices/registry.hpp"
+#include "service/arrivals.hpp"
 #include "workloads/analytics.hpp"
 #include "workloads/gtc.hpp"
 #include "workloads/microbench.hpp"
@@ -100,6 +102,56 @@ TEST(Characterizer, ConcurrencyClasses) {
   EXPECT_EQ(Characterizer::derive_features(any, any, 24, 16 * kKiB)
                 .concurrency,
             Level::kHigh);
+}
+
+void expect_same_component(const ComponentProfile& a,
+                           const ComponentProfile& b) {
+  EXPECT_EQ(a.iteration_ns, b.iteration_ns);
+  EXPECT_EQ(a.io_ns, b.io_ns);
+  EXPECT_EQ(a.object_size, b.object_size);
+  EXPECT_EQ(a.objects_per_iteration, b.objects_per_iteration);
+  EXPECT_EQ(a.bytes_per_iteration, b.bytes_per_iteration);
+}
+
+TEST(Characterizer, SweepDerivedProfileMatchesStandaloneRuns) {
+  // profile() replays S-LocW and S-LocR itself; from_sweep reads them
+  // off a four-config sweep. Exact doubles and features, on every class
+  // the paper suite and the service pool hold, per backend and stack.
+  std::vector<workflow::WorkflowSpec> specs = workloads::full_suite();
+  for (workflow::WorkflowSpec& spec :
+       service::make_class_pool(24, service::ArrivalParams{}.seed)) {
+    specs.push_back(std::move(spec));
+  }
+  for (const char* backend : {"optane-gen1", "dram-like"}) {
+    auto devices = devices::parse_backend(backend);
+    ASSERT_TRUE(devices.has_value());
+    const Executor executor{workflow::Runner({}, *devices)};
+    const Characterizer characterizer{executor};
+    for (const auto stack : {workflow::WorkflowSpec::Stack::kNvStream,
+                             workflow::WorkflowSpec::Stack::kNova}) {
+      for (workflow::WorkflowSpec spec : specs) {
+        spec.stack = stack;
+        SCOPED_TRACE(std::string(backend) + " " + to_string(stack) + " " +
+                     spec.label);
+        auto standalone = characterizer.profile(spec);
+        auto sweep = executor.sweep(spec);
+        ASSERT_TRUE(standalone.has_value() && sweep.has_value());
+        const WorkflowProfile derived = Characterizer::from_sweep(
+            spec, *sweep, executor.runner().devices());
+        EXPECT_EQ(standalone->ranks, derived.ranks);
+        expect_same_component(standalone->simulation, derived.simulation);
+        expect_same_component(standalone->analytics, derived.analytics);
+        const WorkflowFeatures& a = standalone->features;
+        const WorkflowFeatures& b = derived.features;
+        EXPECT_EQ(a.sim_compute, b.sim_compute);
+        EXPECT_EQ(a.sim_write, b.sim_write);
+        EXPECT_EQ(a.analytics_compute, b.analytics_compute);
+        EXPECT_EQ(a.analytics_read, b.analytics_read);
+        EXPECT_EQ(a.small_objects, b.small_objects);
+        EXPECT_EQ(a.concurrency, b.concurrency);
+      }
+    }
+  }
 }
 
 TEST(Characterizer, LevelNames) {
