@@ -17,6 +17,10 @@ namespace pmemflow {
 /// Appends fixed-width little-endian fields to a growing buffer.
 class ByteWriter {
  public:
+  /// Pre-sizes the buffer for `bytes` bytes of fields, so a writer of a
+  /// known layout allocates once.
+  void reserve(std::size_t bytes) { buffer_.reserve(bytes); }
+
   void u8(std::uint8_t value) { buffer_.push_back(std::byte{value}); }
 
   void u32(std::uint32_t value) {

@@ -1,5 +1,6 @@
 #include "stack/nvstream.hpp"
 
+#include <array>
 #include <cstdio>
 #include <stdexcept>
 
@@ -13,6 +14,12 @@ namespace {
 
 std::uint64_t header_crc(const ByteWriter& writer) {
   return hash_bytes(writer.view());
+}
+
+/// Bytes of the superblock before its trailing CRC: magic, rank count,
+/// reserved word, committed and min-live versions, per-rank head/tail.
+constexpr std::size_t superblock_body_size(std::uint32_t ranks) {
+  return 8 + 4 + 4 + 8 + 8 + 16 * static_cast<std::size_t>(ranks);
 }
 
 }  // namespace
@@ -37,6 +44,7 @@ NvStreamChannel::NvStreamChannel(devices::MemoryDevice& device,
 
 void NvStreamChannel::persist_superblock() {
   ByteWriter writer;
+  writer.reserve(superblock_body_size(num_ranks_) + 8);
   writer.u64(kSuperblockMagic);
   writer.u32(num_ranks_);
   writer.u32(0);  // reserved
@@ -52,7 +60,7 @@ void NvStreamChannel::persist_superblock() {
 }
 
 Expected<Ok> NvStreamChannel::load_superblock() {
-  std::vector<std::byte> raw(static_cast<std::size_t>(kSuperblockSize));
+  std::array<std::byte, kSuperblockSize> raw{};
   device_.space().read(superblock_offset_, raw);
   ByteReader reader(raw);
   if (reader.u64() != kSuperblockMagic) {
@@ -73,7 +81,7 @@ Expected<Ok> NvStreamChannel::load_superblock() {
     tail[r] = reader.u64();
   }
   // Verify trailer CRC over the serialized prefix.
-  const std::size_t body = 8 + 4 + 4 + 8 + 8 + 16ULL * num_ranks_;
+  const std::size_t body = superblock_body_size(num_ranks_);
   const std::uint64_t stored_crc = reader.u64();
   if (stored_crc != hash_bytes(std::span(raw).subspan(0, body))) {
     return make_error("nvstream: superblock CRC mismatch");
@@ -88,6 +96,7 @@ Expected<Ok> NvStreamChannel::load_superblock() {
 void NvStreamChannel::persist_record(pmemsim::PmemOffset offset,
                                      const Record& record) {
   ByteWriter writer;
+  writer.reserve(kRecordSize);
   writer.u64(kRecordMagic);
   writer.u64(record.version);
   writer.u32(record.rank);
@@ -107,7 +116,7 @@ void NvStreamChannel::persist_record(pmemsim::PmemOffset offset,
 
 Expected<NvStreamChannel::Record> NvStreamChannel::load_record(
     pmemsim::PmemOffset offset) const {
-  std::vector<std::byte> raw(static_cast<std::size_t>(kRecordSize));
+  std::array<std::byte, kRecordSize> raw{};
   device_.space().read(offset, raw);
   ByteReader reader(raw);
   if (reader.u64() != kRecordMagic) {
