@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "dag/spec.hpp"
+#include "devices/registry.hpp"
+#include "service/arrivals.hpp"
 #include "service/scheduler.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -282,6 +287,71 @@ TEST(ColocationScheduler, InterferenceTablePersistsAcrossRuns) {
   ASSERT_TRUE(scheduler.run(stream).has_value());
   // Same class pair: the second run never re-measures.
   EXPECT_EQ(scheduler.interference().stats().measurements, measurements);
+}
+
+TEST(ColocationScheduler, AllocateCallCountIsPinned) {
+  // Every rate-allocator call a run makes is counted once, wherever it
+  // runs: the default executor and runner, the profile cache's
+  // cross-backend executor, its DAG runner, and the interference
+  // table's cross-backend runner. Half the fleet is dram-like, so each
+  // of those paths runs. The pins were captured when the allocator
+  // still memoized solves, as solves plus memo hits; simulated time
+  // must not move either.
+  ServiceConfig config;
+  config.nodes = 4;
+  for (std::uint32_t i = 0; i < config.nodes; ++i) {
+    NodeSpec spec;
+    spec.backend_name = i % 2 == 0 ? "optane-gen1" : "dram-like";
+    spec.devices = *devices::parse_backend(spec.backend_name);
+    config.node_specs.push_back(std::move(spec));
+  }
+  config.policy = PlacementPolicy::kColocationAware;
+
+  dag::DagSpec chain;
+  chain.label = "pin-chain";
+  chain.iterations = 2;
+  dag::DagComponent writer;
+  writer.name = "writer";
+  writer.ranks = 4;
+  writer.object_size = 1 * kMiB;
+  writer.objects_per_rank = 4;
+  writer.compute_ns = 1e7;
+  dag::DagComponent reader;
+  reader.name = "reader";
+  reader.ranks = 4;
+  reader.analytics_ns_per_object = 500.0;
+  chain.components = {writer, reader};
+  chain.edges = {dag::DagEdge{"writer", "reader", {}, 0}};
+  const auto chain_dag = std::make_shared<const dag::DagSpec>(chain);
+
+  // Blocks of five: a write-heavy/read-heavy pair that packs, two pool
+  // classes and the chain DAG.
+  const auto pool = make_class_pool(6, /*seed=*/7);
+  std::vector<Submission> stream;
+  for (std::uint64_t i = 0; i < 120; ++i) {
+    Submission submission;
+    submission.id = i;
+    submission.arrival_ns = static_cast<SimTime>(i) * 2 * kMillisecond;
+    switch (i % 5) {
+      case 0: submission.spec = write_heavy_class(); break;
+      case 1: submission.spec = read_heavy_class(); break;
+      case 4: submission.dag = chain_dag; break;
+      default: submission.spec = pool[(i / 5 + i % 5) % pool.size()];
+    }
+    stream.push_back(std::move(submission));
+  }
+  config.queue_capacity = stream.size();
+  config.defer_watermark = 1.0;
+
+  OnlineScheduler scheduler(config);
+  auto result = scheduler.run(stream);
+  ASSERT_TRUE(result.has_value());
+  const ServiceMetrics& metrics = result->metrics;
+  EXPECT_GT(scheduler.interference().stats().measurements, 0u);
+  EXPECT_GT(metrics.colocations, 0u);
+  EXPECT_GT(metrics.dag_completed, 0u);
+  EXPECT_EQ(metrics.allocator.solves + metrics.allocator.cache_hits, 4803u);
+  EXPECT_EQ(metrics.des_events, 240u);
 }
 
 }  // namespace
