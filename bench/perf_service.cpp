@@ -6,9 +6,8 @@
 //
 // Memoization (unsharded), each mode best-of-3:
 //   1. determinism: memoization on vs off produces byte-identical
-//      completion schedules (same fingerprint over
-//      id/node/slot/config/start/finish for every record, in order,
-//      across every repeat);
+//      completion schedules (same service::schedule_fingerprint, in
+//      order, across every repeat);
 //   2. the cache works: the memoized run avoids fixed-point solves
 //      (solves_avoided > 0, hit rate > 0);
 //   3. no regression: best-of-3 memoized events/sec is no worse than
@@ -51,30 +50,6 @@
 namespace {
 
 using namespace pmemflow;
-
-/// FNV-1a over the schedule-defining fields of every completion, in
-/// order. Two runs that place, start, or finish anything differently —
-/// even by one nanosecond — disagree here.
-std::uint64_t fingerprint(
-    const std::vector<service::CompletionRecord>& records) {
-  std::uint64_t hash = 1469598103934665603ull;
-  auto mix = [&hash](std::uint64_t value) {
-    hash ^= value;
-    hash *= 1099511628211ull;
-  };
-  for (const auto& record : records) {
-    mix(record.id);
-    mix(record.node);
-    mix(record.slot);
-    mix(static_cast<std::uint64_t>(record.config.mode));
-    mix(static_cast<std::uint64_t>(record.config.placement));
-    mix(record.start_ns);
-    mix(record.finish_ns);
-    mix(record.preemptions);
-    mix(record.checkpoint_ns);
-  }
-  return hash;
-}
 
 struct RunOutcome {
   std::uint64_t fingerprint = 0;
@@ -170,7 +145,7 @@ int main(int argc, char** argv) {
       std::exit(1);
     }
     RunOutcome outcome;
-    outcome.fingerprint = fingerprint(result->completions);
+    outcome.fingerprint = service::schedule_fingerprint(*result);
     outcome.completed = result->metrics.completed;
     outcome.des_events = result->metrics.des_events;
     outcome.shard_migrations = result->metrics.shard_migrations;

@@ -1,5 +1,6 @@
 #include "service/metrics.hpp"
 
+#include "common/hash.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 
@@ -9,6 +10,27 @@ namespace {
 double to_ms(double ns) { return ns / 1e6; }
 
 }  // namespace
+
+std::uint64_t schedule_fingerprint(const ServiceResult& result) {
+  Hasher64 hasher;
+  hasher.update_u64(result.completions.size());
+  hasher.update_u64(result.metrics.dropped);
+  for (const auto& r : result.completions) {
+    hasher.update_u64(r.id);
+    hasher.update_u64(r.node);
+    hasher.update_u64(r.slot);
+    hasher.update_u64(static_cast<std::uint64_t>(r.config.mode));
+    hasher.update_u64(static_cast<std::uint64_t>(r.config.placement));
+    hasher.update_u64(r.start_ns);
+    hasher.update_u64(r.finish_ns);
+    hasher.update_u64(r.preemptions);
+    hasher.update_u64(r.migrations);
+    hasher.update_u64(r.colocations);
+    hasher.update_u64(r.ephemeral_edges);
+    hasher.update_bool(r.dag);
+  }
+  return hasher.digest();
+}
 
 ServiceMetrics aggregate_metrics(const std::vector<CompletionRecord>& records,
                                  SimDuration makespan_ns,

@@ -177,6 +177,18 @@ struct ServiceMetrics {
   }
 };
 
+struct ServiceResult {
+  /// Completed submissions in completion (finish-time) order.
+  std::vector<CompletionRecord> completions;
+  ServiceMetrics metrics;
+};
+
+/// Schedule fingerprint: every placement-visible field of every
+/// completion record, in completion order, plus the drop count.
+/// cache_hit and allocator counters are deliberately excluded — they
+/// describe planner-internal traffic, not the schedule.
+[[nodiscard]] std::uint64_t schedule_fingerprint(const ServiceResult& result);
+
 /// Condenses completion records + component stats into ServiceMetrics.
 [[nodiscard]] ServiceMetrics aggregate_metrics(
     const std::vector<CompletionRecord>& records, SimDuration makespan_ns,

@@ -122,12 +122,6 @@ struct ServiceConfig {
   trace::Tracer* tracer = nullptr;
 };
 
-struct ServiceResult {
-  /// Completed submissions in completion (finish-time) order.
-  std::vector<CompletionRecord> completions;
-  ServiceMetrics metrics;
-};
-
 class OnlineScheduler {
  public:
   explicit OnlineScheduler(ServiceConfig config,

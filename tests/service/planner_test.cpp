@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "common/hash.hpp"
 #include "dag/spec.hpp"
 #include "devices/registry.hpp"
 #include "service/arrivals.hpp"
@@ -17,36 +16,12 @@
 namespace pmemflow::service {
 namespace {
 
-// The golden scenarios and fingerprint below were captured by running
-// this exact block against the pre-planner commit (the last one with
-// the per-policy choosers inside Region); the pins in kGoldenPins are
-// that run's output. Keep the block byte-stable: re-recording pins is
+// The golden scenarios below were captured by running this exact block
+// against the pre-planner commit (the last one with the per-policy
+// choosers inside Region), fingerprinted by schedule_fingerprint
+// (service/metrics.hpp); the pins in kGoldenPins are that run's output.
+// Keep the block and the fingerprint byte-stable: re-recording pins is
 // only legitimate for a deliberate, documented schedule change.
-
-/// Schedule fingerprint: every placement-visible field of every
-/// completion record, in completion order, plus the drop count.
-/// cache_hit and allocator counters are deliberately excluded — they
-/// describe planner-internal traffic, not the schedule.
-std::uint64_t schedule_fingerprint(const ServiceResult& result) {
-  Hasher64 hasher;
-  hasher.update_u64(result.completions.size());
-  hasher.update_u64(result.metrics.dropped);
-  for (const auto& r : result.completions) {
-    hasher.update_u64(r.id);
-    hasher.update_u64(r.node);
-    hasher.update_u64(r.slot);
-    hasher.update_u64(static_cast<std::uint64_t>(r.config.mode));
-    hasher.update_u64(static_cast<std::uint64_t>(r.config.placement));
-    hasher.update_u64(r.start_ns);
-    hasher.update_u64(r.finish_ns);
-    hasher.update_u64(r.preemptions);
-    hasher.update_u64(r.migrations);
-    hasher.update_u64(r.colocations);
-    hasher.update_u64(r.ephemeral_edges);
-    hasher.update_bool(r.dag);
-  }
-  return hasher.digest();
-}
 
 ArrivalParams golden_stream_params() {
   ArrivalParams params;
