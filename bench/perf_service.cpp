@@ -1,24 +1,18 @@
-// Service perf gate: allocator memoization (ISSUE 7) + sharded replay
-// (ISSUE 8).
+// Service perf gate: repeatable replay and sharded replay.
 //
 // Replays one large Poisson submission stream through the online
-// scheduler and checks two independent properties:
+// scheduler and checks:
 //
-// Memoization (unsharded), each mode best-of-3:
-//   1. determinism: memoization on vs off produces byte-identical
-//      completion schedules (same service::schedule_fingerprint, in
-//      order, across every repeat);
-//   2. the cache works: the memoized run avoids fixed-point solves
-//      (solves_avoided > 0, hit rate > 0);
-//   3. no regression: best-of-3 memoized events/sec is no worse than
-//      the best-of-3 uncached baseline (small tolerance for wall-clock
-//      noise).
+// Unsharded, best-of-3:
+//   1. repeat identity: every repeat produces the byte-identical
+//      schedule (service::schedule_fingerprint) and DES event count.
 //
 // Sharded replay (regions pinned to min(4, nodes) — the *semantic*
 // knob), sweeping worker threads 1/2/4 (the pure performance knob):
-//   4. determinism: every thread count produces the byte-identical
-//      schedule — `--shards N` must never change results;
-//   5. speedup: best-of-3 events/sec at 4 workers is >= 2x the
+//   2. determinism: every thread count (and every repeat) produces the
+//      byte-identical schedule — `--shards N` must never change
+//      results;
+//   3. speedup: best-of-3 events/sec at 4 workers is >= 2x the
 //      1-worker baseline. Only enforced when the host actually has
 //      >= 4 hardware threads (always recorded in the JSON).
 //
@@ -34,6 +28,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -43,7 +38,6 @@
 #include "bench_json.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
-#include "pmemsim/allocator.hpp"
 #include "service/arrivals.hpp"
 #include "service/scheduler.hpp"
 
@@ -56,8 +50,11 @@ struct RunOutcome {
   std::uint64_t completed = 0;
   std::uint64_t des_events = 0;
   std::uint64_t shard_migrations = 0;
+  std::uint64_t rate_solves = 0;
   double wall_seconds = 0.0;
-  pmemsim::AllocatorCounters counters;
+  /// Every best-of repeat matched the first one's fingerprint and DES
+  /// event count.
+  bool repeats_identical = true;
 
   [[nodiscard]] double events_per_sec() const {
     return wall_seconds > 0.0
@@ -124,13 +121,10 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(submissions), classes, nodes,
       hardware_threads);
 
-  // A fresh scheduler per run keeps the profile cache cold every time;
-  // the runs differ only in the toggle under test. Counters come from
-  // the run's own metrics (per-allocator state — no process globals).
-  auto run_once = [&](bool memoize, std::uint32_t regions,
+  // A fresh scheduler per run keeps the profile cache cold every time.
+  auto run_once = [&](std::uint32_t regions,
                       std::uint32_t threads) -> RunOutcome {
     service::ServiceConfig config = base_config;
-    config.allocator_memoization = memoize;
     config.sharding.regions = regions;
     config.sharding.threads = threads;
     service::OnlineScheduler scheduler(config);
@@ -149,89 +143,49 @@ int main(int argc, char** argv) {
     outcome.completed = result->metrics.completed;
     outcome.des_events = result->metrics.des_events;
     outcome.shard_migrations = result->metrics.shard_migrations;
+    outcome.rate_solves = result->metrics.rate_solves();
     outcome.wall_seconds = wall_seconds;
-    outcome.counters = result->metrics.allocator;
     return outcome;
   };
 
   // Best wall clock of kRepeats, with every repeat's fingerprint
   // checked against the first: repeats are free determinism trials.
-  bool repeats_identical = true;
-  auto best_of = [&](bool memoize, std::uint32_t regions,
+  auto best_of = [&](std::uint32_t regions,
                      std::uint32_t threads) -> RunOutcome {
-    RunOutcome best = run_once(memoize, regions, threads);
+    RunOutcome best = run_once(regions, threads);
+    bool identical = true;
     for (int r = 1; r < kRepeats; ++r) {
-      RunOutcome repeat = run_once(memoize, regions, threads);
-      if (repeat.fingerprint != best.fingerprint ||
-          repeat.des_events != best.des_events) {
-        repeats_identical = false;
-      }
+      RunOutcome repeat = run_once(regions, threads);
+      identical = identical && repeat.fingerprint == best.fingerprint &&
+                  repeat.des_events == best.des_events;
       if (repeat.wall_seconds < best.wall_seconds) best = repeat;
     }
+    best.repeats_identical = identical;
     return best;
   };
 
-  // ---- Memoization gate (unsharded) ----
-  const RunOutcome uncached = best_of(false, 1, 0);
-  const RunOutcome cached = best_of(true, 1, 0);
+  // ---- Unsharded replay ----
+  const RunOutcome unsharded = best_of(1, 0);
 
-  TextTable table({"Mode", "Completed", "DES events", "Wall", "Events/s",
-                   "Solves", "Cache hits", "Hit rate"},
-                  {Align::kLeft, Align::kRight, Align::kRight, Align::kRight,
-                   Align::kRight, Align::kRight, Align::kRight, Align::kRight});
-  for (const auto& [label, run] :
-       {std::pair<const char*, const RunOutcome&>{"memo off", uncached},
-        std::pair<const char*, const RunOutcome&>{"memo on", cached}}) {
-    table.add_row(
-        {label, format("%llu", static_cast<unsigned long long>(run.completed)),
-         format("%llu", static_cast<unsigned long long>(run.des_events)),
-         format("%.3f s", run.wall_seconds),
-         format("%.0f", run.events_per_sec()),
-         format("%llu", static_cast<unsigned long long>(run.counters.solves)),
-         format("%llu",
-                static_cast<unsigned long long>(run.counters.cache_hits)),
-         format("%.1f %%", 100.0 * run.counters.hit_rate())});
-  }
+  TextTable table({"Completed", "DES events", "Wall", "Events/s",
+                   "Rate solves", "Fingerprint"},
+                  {Align::kRight, Align::kRight, Align::kRight, Align::kRight,
+                   Align::kRight, Align::kLeft});
+  table.add_row(
+      {format("%llu", static_cast<unsigned long long>(unsharded.completed)),
+       format("%llu", static_cast<unsigned long long>(unsharded.des_events)),
+       format("%.3f s", unsharded.wall_seconds),
+       format("%.0f", unsharded.events_per_sec()),
+       format("%llu", static_cast<unsigned long long>(unsharded.rate_solves)),
+       format("%016llx",
+              static_cast<unsigned long long>(unsharded.fingerprint))});
+  std::cout << "--- unsharded replay ---\n";
   table.write(std::cout);
 
-  // Gate 1: byte-identical schedules, memoization on vs off (and across
-  // every best-of repeat).
-  const bool identical = uncached.fingerprint == cached.fingerprint &&
-                         uncached.completed == cached.completed &&
-                         uncached.des_events == cached.des_events &&
-                         repeats_identical;
-  // Gate 2: the cache actually avoided fixed-point solves.
-  const std::uint64_t solves_avoided =
-      uncached.counters.solves > cached.counters.solves
-          ? uncached.counters.solves - cached.counters.solves
-          : 0;
-  const bool cache_effective =
-      solves_avoided > 0 && cached.counters.cache_hits > 0;
-  // Gate 3: memoized throughput is no worse than uncached, best-of-3
-  // each. The 10% tolerance absorbs wall-clock noise on shared CI
-  // runners; the JSON artifact keeps the raw numbers for trends.
-  const bool no_regression =
-      cached.events_per_sec() >= 0.9 * uncached.events_per_sec();
-
-  std::cout << format(
-      "\nfingerprint        %016llx vs %016llx  %s\n",
-      static_cast<unsigned long long>(uncached.fingerprint),
-      static_cast<unsigned long long>(cached.fingerprint),
-      identical ? "IDENTICAL" : "DIVERGED");
-  std::cout << format(
-      "solves avoided     %llu (%llu -> %llu, %.1f %% hit rate)  %s\n",
-      static_cast<unsigned long long>(solves_avoided),
-      static_cast<unsigned long long>(uncached.counters.solves),
-      static_cast<unsigned long long>(cached.counters.solves),
-      100.0 * cached.counters.hit_rate(),
-      cache_effective ? "OK" : "INEFFECTIVE");
-  std::cout << format(
-      "events/sec         %.0f uncached -> %.0f memoized (%.2fx)  %s\n",
-      uncached.events_per_sec(), cached.events_per_sec(),
-      uncached.events_per_sec() > 0.0
-          ? cached.events_per_sec() / uncached.events_per_sec()
-          : 0.0,
-      no_regression ? "OK" : "REGRESSION");
+  // Gate 1: byte-identical schedules across the best-of repeats.
+  const bool identical = unsharded.repeats_identical;
+  std::cout << format("\nrepeat identity    %s across %d repeats\n",
+                      identical ? "IDENTICAL" : "DIVERGED", kRepeats);
 
   // ---- Sharded-replay gate ----
   // Regions are pinned (semantic knob: a 4-region schedule legitimately
@@ -245,7 +199,7 @@ int main(int argc, char** argv) {
   std::vector<RunOutcome> sharded;
   sharded.reserve(thread_counts.size());
   for (std::uint32_t t : thread_counts) {
-    sharded.push_back(best_of(true, regions, t));
+    sharded.push_back(best_of(regions, t));
   }
 
   TextTable shard_table({"Workers", "Completed", "DES events", "Migrations",
@@ -268,16 +222,17 @@ int main(int argc, char** argv) {
   std::cout << format("\n--- sharded replay: %u regions ---\n", regions);
   shard_table.write(std::cout);
 
-  // Gate 4: the worker-thread count is a pure performance knob.
-  bool identical_sharded = repeats_identical;
+  // Gate 2: the worker-thread count is a pure performance knob.
+  bool identical_sharded = true;
   for (const RunOutcome& run : sharded) {
     identical_sharded =
-        identical_sharded && run.fingerprint == sharded.front().fingerprint &&
+        identical_sharded && run.repeats_identical &&
+        run.fingerprint == sharded.front().fingerprint &&
         run.completed == sharded.front().completed &&
         run.des_events == sharded.front().des_events &&
         run.shard_migrations == sharded.front().shard_migrations;
   }
-  // Gate 5: >= 2x events/sec at 4 workers vs 1 — only meaningful (and
+  // Gate 3: >= 2x events/sec at 4 workers vs 1 — only meaningful (and
   // only enforced) when the host has >= 4 hardware threads and the
   // sweep actually reached 4 workers.
   double speedup = 1.0;
@@ -286,21 +241,23 @@ int main(int argc, char** argv) {
               sharded.front().events_per_sec();
   }
   const bool speedup_enforced =
-      hardware_threads >= 4 && !thread_counts.empty() &&
-      thread_counts.back() >= 4;
+      hardware_threads >= 4 && thread_counts.back() >= 4;
   const bool fast_enough = !speedup_enforced || speedup >= 2.0;
 
   std::cout << format(
       "sharded identity   %s across %zu worker counts\n",
       identical_sharded ? "IDENTICAL" : "DIVERGED", sharded.size());
-  std::cout << format(
-      "sharded speedup    %.2fx (workers %u -> %u)  %s\n", speedup,
-      thread_counts.front(), thread_counts.back(),
-      speedup_enforced ? (fast_enough ? "OK" : "TOO SLOW")
-                       : "not enforced (needs >= 4 hw threads)");
+  const char* speedup_verdict = fast_enough ? "OK" : "TOO SLOW";
+  if (hardware_threads < 4) {
+    speedup_verdict = "not enforced (needs >= 4 hw threads)";
+  } else if (!speedup_enforced) {
+    speedup_verdict = "not enforced (sweep stops below 4 workers)";
+  }
+  std::cout << format("sharded speedup    %.2fx (workers %u -> %u)  %s\n",
+                      speedup, thread_counts.front(), thread_counts.back(),
+                      speedup_verdict);
 
-  const bool pass = identical && cache_effective && no_regression &&
-                    identical_sharded && fast_enough;
+  const bool pass = identical && identical_sharded && fast_enough;
   std::cout << "\nresult: " << (pass ? "PASS" : "FAIL") << "\n";
 
   bench::BenchJson json(json_path);
@@ -308,24 +265,18 @@ int main(int argc, char** argv) {
       {"submissions", static_cast<double>(submissions)},
       {"nodes", static_cast<double>(nodes)},
       {"classes", static_cast<double>(classes)},
-      {"des_events", static_cast<double>(cached.des_events)},
-      {"wall_seconds_uncached", uncached.wall_seconds},
-      {"wall_seconds_memoized", cached.wall_seconds},
-      {"events_per_sec_uncached", uncached.events_per_sec()},
-      {"events_per_sec_memoized", cached.events_per_sec()},
-      {"submissions_per_sec", cached.submissions_per_sec()},
-      {"solves_uncached", static_cast<double>(uncached.counters.solves)},
-      {"solves_memoized", static_cast<double>(cached.counters.solves)},
-      {"solves_avoided", static_cast<double>(solves_avoided)},
-      {"allocator_hit_rate", cached.counters.hit_rate()},
+      {"des_events", static_cast<double>(unsharded.des_events)},
+      {"wall_seconds", unsharded.wall_seconds},
+      {"events_per_sec", unsharded.events_per_sec()},
+      {"submissions_per_sec", unsharded.submissions_per_sec()},
+      {"rate_solves", static_cast<double>(unsharded.rate_solves)},
       {"identical", identical ? 1.0 : 0.0},
       {"regions", static_cast<double>(regions)},
       {"hardware_threads", static_cast<double>(hardware_threads)},
       {"identical_sharded", identical_sharded ? 1.0 : 0.0},
       {"speedup_shards", speedup},
       {"shard_migrations",
-       sharded.empty() ? 0.0
-                       : static_cast<double>(sharded.front().shard_migrations)},
+       static_cast<double>(sharded.front().shard_migrations)},
       {"pass", pass ? 1.0 : 0.0}};
   for (std::size_t i = 0; i < sharded.size(); ++i) {
     section.emplace_back(format("events_per_sec_shards%u", thread_counts[i]),

@@ -47,11 +47,6 @@ class Executor {
     return runner_;
   }
 
-  /// Forwards to the owned runner (see Runner::set_allocator_memoization).
-  void set_allocator_memoization(bool enabled) noexcept {
-    runner_.set_allocator_memoization(enabled);
-  }
-
  private:
   workflow::Runner runner_;
 };

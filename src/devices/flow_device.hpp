@@ -37,13 +37,6 @@ class FlowDevice : public MemoryDevice {
   [[nodiscard]] const pmemsim::BandwidthModel& model() const noexcept {
     return allocator_.model();
   }
-  [[nodiscard]] pmemsim::AllocatorCounters allocator_counters()
-      const noexcept override {
-    return allocator_.counters();
-  }
-  void set_allocator_memoization(bool enabled) noexcept override {
-    allocator_.set_memoization(enabled);
-  }
 
  protected:
   /// `resource_prefix` names the flow resource "<prefix>-socket<N>";

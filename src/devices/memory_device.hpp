@@ -20,7 +20,6 @@
 // CxlDevice); named parameter presets live in devices/registry.hpp.
 #pragma once
 
-#include "pmemsim/allocator.hpp"
 #include "pmemsim/space.hpp"
 #include "sim/engine.hpp"
 #include "sim/flow.hpp"
@@ -60,18 +59,6 @@ class MemoryDevice {
     spec.locality = locality_of(from_socket);
     return resource().transfer(spec);
   }
-
-  /// Counters of the device's rate allocator (per-instance state; see
-  /// pmemsim::AllocatorCounters). Backends without a memoizing
-  /// allocator report zeros.
-  [[nodiscard]] virtual pmemsim::AllocatorCounters allocator_counters()
-      const noexcept {
-    return {};
-  }
-
-  /// Toggles rate-allocator memoization on THIS device's allocator.
-  /// No-op for backends without one.
-  virtual void set_allocator_memoization(bool /*enabled*/) noexcept {}
 
  protected:
   /// The fluid-flow resource `io()` charges against.

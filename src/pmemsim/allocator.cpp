@@ -1,7 +1,6 @@
 #include "pmemsim/allocator.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -15,17 +14,6 @@ namespace {
 constexpr int kMaxIterations = 80;
 constexpr double kTolerance = 1e-6;
 constexpr double kDamping = 0.5;
-
-/// Cached solutions per allocator before the cache is wholesale
-/// cleared. A workflow run cycles through far fewer distinct flow-set
-/// sequences than this, so steady state never clears.
-constexpr std::size_t kMaxCachedSolutions = 256;
-
-std::uint64_t hash_mix(std::uint64_t hash, std::uint64_t value) {
-  // FNV-1a over 64-bit lanes: cheap and stable across runs.
-  hash ^= value;
-  return hash * 0x100000001b3ULL;
-}
 
 }  // namespace
 
@@ -51,61 +39,6 @@ ClassCensus OptaneRateAllocator::make_census() const {
 
 void OptaneRateAllocator::allocate(std::span<sim::Flow* const> flows) {
   PMEMFLOW_ASSERT(!flows.empty());
-  ++counters_.allocate_calls;
-
-  key_.clear();
-  key_.reserve(flows.size());
-  for (const sim::Flow* flow : flows) {
-    key_.push_back(FlowClass{
-        flow->spec.kind, flow->spec.locality, flow->spec.op_size,
-        flow->spec.sw_ns_per_op + flow->spec.compute_ns_per_op});
-  }
-
-  std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV offset basis
-  if (memoize_) {
-    for (const FlowClass& cls : key_) {
-      hash = hash_mix(hash, static_cast<std::uint64_t>(cls.kind));
-      hash = hash_mix(hash, static_cast<std::uint64_t>(cls.locality));
-      hash = hash_mix(hash, cls.op_size);
-      hash = hash_mix(hash, std::bit_cast<std::uint64_t>(cls.off_device_ns));
-    }
-    if (auto it = cache_.find(hash); it != cache_.end()) {
-      for (const CachedSolution& solution : it->second) {
-        if (solution.key != key_) continue;
-        for (std::size_t i = 0; i < flows.size(); ++i) {
-          flows[i]->device_rate = solution.rates[i].first;
-          flows[i]->progress_rate = solution.rates[i].second;
-        }
-        last_report_ = solution.report;
-        ++counters_.cache_hits;
-        return;
-      }
-    }
-  }
-
-  solve(flows);
-  ++counters_.solves;
-  counters_.solve_iterations +=
-      static_cast<std::uint64_t>(last_report_.iterations);
-
-  if (memoize_) {
-    if (cached_solutions_ >= kMaxCachedSolutions) {
-      cache_.clear();
-      cached_solutions_ = 0;
-    }
-    CachedSolution solution;
-    solution.key = key_;
-    solution.rates.reserve(flows.size());
-    for (const sim::Flow* flow : flows) {
-      solution.rates.emplace_back(flow->device_rate, flow->progress_rate);
-    }
-    solution.report = last_report_;
-    cache_[hash].push_back(std::move(solution));
-    ++cached_solutions_;
-  }
-}
-
-void OptaneRateAllocator::solve(std::span<sim::Flow* const> flows) {
   // Maintainer aid: PMEMFLOW_TRACE_ALLOC=1 prints the fixed-point
   // trajectory (used when diagnosing contention equilibria). Read once
   // per process.
@@ -116,9 +49,12 @@ void OptaneRateAllocator::solve(std::span<sim::Flow* const> flows) {
   // multiplier without fixed-point feedback.
   views_.clear();
   class_of_.clear();
-  class_of_.reserve(key_.size());
+  class_of_.reserve(flows.size());
   double small_flow_count = 0.0;
-  for (const FlowClass& cls : key_) {
+  for (const sim::Flow* flow : flows) {
+    const FlowClass cls{flow->spec.kind, flow->spec.locality,
+                        flow->spec.op_size,
+                        flow->spec.sw_ns_per_op + flow->spec.compute_ns_per_op};
     auto it = std::find_if(views_.begin(), views_.end(),
                            [&](const View& view) { return view.cls == cls; });
     if (it == views_.end()) {

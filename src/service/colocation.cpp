@@ -71,8 +71,7 @@ core::DeploymentConfig preferred_parallel_config(const CachedProfile& profile) {
 }
 
 InterferenceTable::InterferenceTable(workflow::Runner runner)
-    : runner_(std::move(runner)),
-      allocator_memoization_(runner_.allocator_memoization()) {}
+    : runner_(std::move(runner)) {}
 
 Expected<PairInterference> InterferenceTable::lookup(
     const CachedProfile& a, const workflow::WorkflowSpec& spec_a,
@@ -122,7 +121,6 @@ Expected<PairInterference> InterferenceTable::lookup_keyed(
   const workflow::Runner* runner = &runner_;
   if (backend != nullptr && device_fp != runner_.devices().fingerprint()) {
     backend_runner.emplace(runner_.platform(), *backend);
-    backend_runner->set_allocator_memoization(allocator_memoization_);
     runner = &*backend_runner;
   }
   // The cross-backend runner dies with this scope; fold its counters in

@@ -167,12 +167,6 @@ void print_service_report(std::ostream& out, const std::string& title,
                             1e9)});
   table.add_row({"rate solves", format("%llu", static_cast<unsigned long long>(
                                                    metrics.rate_solves()))});
-  table.add_row(
-      {"allocator hit rate",
-       format("%.1f %% (%llu/%llu)", 100.0 * metrics.allocator.hit_rate(),
-              static_cast<unsigned long long>(metrics.allocator.cache_hits),
-              static_cast<unsigned long long>(
-                  metrics.allocator.allocate_calls))});
   table.add_row({"regions", format("%u", metrics.regions)});
   table.add_row({"shard migrations",
                  format("%llu", static_cast<unsigned long long>(

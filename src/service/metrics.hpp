@@ -138,10 +138,9 @@ struct ServiceMetrics {
   /// per-region loops in region-index order.
   std::uint64_t des_events = 0;
   /// Rate-allocator work this run performed (characterizations and
-  /// interference measurements), as the delta of the per-allocator
+  /// interference measurements), as the delta of the per-runner
   /// counters across the run — summed per region in region-index order
-  /// when sharded. allocator.cache_hits / allocator.solves is the
-  /// memoization gate's signal.
+  /// when sharded.
   pmemsim::AllocatorCounters allocator;
   /// Fleet regions the run was sharded into (1 = classic unsharded).
   std::uint32_t regions = 1;
@@ -163,8 +162,7 @@ struct ServiceMetrics {
   std::uint64_t plan_cache_hits = 0;
   std::uint64_t plan_cache_misses = 0;
 
-  /// Bandwidth-share solves the run's characterizations performed
-  /// (memoization makes repeat classes hit instead).
+  /// Bandwidth-share solves the run's characterizations performed.
   [[nodiscard]] std::uint64_t rate_solves() const noexcept {
     return allocator.solves;
   }

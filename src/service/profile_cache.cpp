@@ -15,8 +15,7 @@ ProfileCache::ProfileCache(std::size_t capacity, core::Executor executor,
     : capacity_(capacity),
       executor_(std::move(executor)),
       recommender_(recommender),
-      default_device_fp_(executor_.runner().devices().fingerprint()),
-      allocator_memoization_(executor_.runner().allocator_memoization()) {
+      default_device_fp_(executor_.runner().devices().fingerprint()) {
   PMEMFLOW_ASSERT(capacity >= 1);
 }
 
@@ -59,7 +58,6 @@ Expected<CachedProfile> ProfileCache::characterize_keyed(
                       "a non-default device fingerprint needs its backend");
   core::Executor executor{
       workflow::Runner(executor_.runner().platform(), *backend)};
-  executor.set_allocator_memoization(allocator_memoization_);
   auto result = characterize_on(spec, class_fp, executor, device_fp);
   // The executor dies with this scope; fold its counters in first (on
   // the error path too — a failed sweep still ran the allocator).
@@ -147,7 +145,6 @@ Expected<CachedDagProfile> ProfileCache::characterize_dag_keyed(
   std::optional<workflow::Runner> backend_runner;
   if (device_fp != default_device_fp_) {
     backend_runner.emplace(platform, *backend);
-    backend_runner->set_allocator_memoization(allocator_memoization_);
   }
   const workflow::Runner& runner =
       backend_runner.has_value() ? *backend_runner : executor_.runner();

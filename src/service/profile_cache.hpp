@@ -186,13 +186,6 @@ class ProfileCache {
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
 
-  /// Applies to the owned executor and to every temporary executor a
-  /// cross-backend characterization spins up. Default on.
-  void set_allocator_memoization(bool enabled) noexcept {
-    allocator_memoization_ = enabled;
-    executor_.set_allocator_memoization(enabled);
-  }
-
   /// Rate-allocator counters of every characterization this cache has
   /// run: the owned executor's plus those of the short-lived
   /// cross-backend executors.
@@ -228,7 +221,6 @@ class ProfileCache {
   core::Executor executor_;
   core::Recommender recommender_;
   std::uint64_t default_device_fp_;
-  bool allocator_memoization_;
   /// Counters of torn-down cross-backend executors (mutable: const
   /// characterize() creates and destroys them).
   mutable pmemsim::AllocatorCounters extra_allocator_counters_;

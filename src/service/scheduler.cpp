@@ -17,10 +17,7 @@ OnlineScheduler::OnlineScheduler(ServiceConfig config, core::Executor executor,
       runner_proto_(executor.runner()),
       recommender_(recommender),
       interference_(executor.runner()),
-      cache_(config_.cache_capacity, std::move(executor), recommender) {
-  cache_.set_allocator_memoization(config_.allocator_memoization);
-  interference_.set_allocator_memoization(config_.allocator_memoization);
-}
+      cache_(config_.cache_capacity, std::move(executor), recommender) {}
 
 void OnlineScheduler::ensure_region_caches(std::uint32_t regions) {
   while (extra_caches_.size() + 1 < regions) {
@@ -29,8 +26,6 @@ void OnlineScheduler::ensure_region_caches(std::uint32_t regions) {
     auto cache = std::make_unique<ProfileCache>(
         config_.cache_capacity, core::Executor(workflow::Runner(runner_proto_)),
         recommender_);
-    cache->set_allocator_memoization(config_.allocator_memoization);
-    interference->set_allocator_memoization(config_.allocator_memoization);
     extra_caches_.push_back(std::move(cache));
     extra_interference_.push_back(std::move(interference));
   }

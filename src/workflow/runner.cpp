@@ -478,7 +478,6 @@ Expected<JobsResult> Runner::run_jobs(std::span<const Job> jobs) const {
         auto device = spec.instantiate(
             engine, edge.socket,
             spec.capacity_or(platform_.pmem_per_socket()));
-        device->set_allocator_memoization(allocator_memoization_);
         devices.emplace(edge.socket, std::move(device));
       }
       if (job.staging.enabled() && !stages.contains(edge.socket)) {
@@ -569,7 +568,7 @@ Expected<JobsResult> Runner::run_jobs(std::span<const Job> jobs) const {
     result.jobs.push_back(std::move(job));
   }
   for (const auto& [socket, device] : devices) {
-    allocator_counters_ += device->allocator_counters();
+    allocator_counters_.solves += device->stats().rate_solves;
     result.devices.emplace(socket, device->stats());
   }
   for (const auto& [socket, stage] : stages) {

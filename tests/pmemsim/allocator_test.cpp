@@ -377,66 +377,11 @@ TEST_F(AllocatorTest, RatesAreAlwaysPositive) {
   }
 }
 
-TEST_F(AllocatorTest, MemoizedAllocateIsBitIdenticalToUncached) {
-  auto build = [] {
-    std::vector<sim::Flow> flows;
-    for (int i = 0; i < 16; ++i) {
-      flows.push_back(make_flow(
-          (i % 2 == 0) ? sim::IoKind::kRead : sim::IoKind::kWrite,
-          (i % 3 == 0) ? sim::Locality::kRemote : sim::Locality::kLocal,
-          (i % 5 == 0) ? 2 * kKB : 64 * kMB, (i % 4) * 500.0,
-          (i % 2) * 1000.0));
-    }
-    return flows;
-  };
-
-  // Uncached reference: every call re-runs the fixed point.
-  OptaneRateAllocator uncached(
-      BandwidthModel(OptaneParams{}, interconnect::UpiModel{}));
-  uncached.set_memoization(false);
-  auto reference = build();
-  {
-    std::vector<sim::Flow*> pointers;
-    for (auto& flow : reference) pointers.push_back(&flow);
-    uncached.allocate(pointers);
-  }
-  const AllocationReport uncached_report = uncached.last_report();
-
-  // Memoized: second allocate of the same sequence must hit and replay
-  // the exact same bits.
-  OptaneRateAllocator memoized(
-      BandwidthModel(OptaneParams{}, interconnect::UpiModel{}));
-  ASSERT_TRUE(memoized.memoization_enabled());  // default on
-  auto first = build();
-  auto second = build();
-  for (auto* flows : {&first, &second}) {
-    std::vector<sim::Flow*> pointers;
-    for (auto& flow : *flows) pointers.push_back(&flow);
-    memoized.allocate(pointers);
-  }
-  EXPECT_EQ(memoized.counters().allocate_calls, 2u);
-  EXPECT_EQ(memoized.counters().solves, 1u);
-  EXPECT_EQ(memoized.counters().cache_hits, 1u);
-
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    // EXPECT_EQ, not EXPECT_DOUBLE_EQ: the contract is bit-identity.
-    EXPECT_EQ(reference[i].progress_rate, first[i].progress_rate);
-    EXPECT_EQ(reference[i].device_rate, first[i].device_rate);
-    EXPECT_EQ(first[i].progress_rate, second[i].progress_rate);
-    EXPECT_EQ(first[i].device_rate, second[i].device_rate);
-  }
-  // last_report() replays from the cache too (tests rely on it).
-  EXPECT_EQ(memoized.last_report().iterations, uncached_report.iterations);
-  EXPECT_EQ(memoized.last_report().converged, uncached_report.converged);
-  EXPECT_EQ(memoized.last_report().census.local_write,
-            uncached_report.census.local_write);
-  EXPECT_EQ(memoized.last_report().census.small, uncached_report.census.small);
-}
-
 TEST_F(AllocatorTest, MemoKeyDistinguishesSequenceOrder) {
-  // [read, write] then [write, read]: a (wrong) multiset key would hit
-  // and hand the reader the writer's rate. Per-position rates must
-  // follow each flow's own class.
+  // [read, write] then [write, read] on one allocator: classes are
+  // grouped in first-appearance order, so a grouping that forgot the
+  // order would hand the reader the writer's rate. Per-position rates
+  // must follow each flow's own class.
   std::vector<sim::Flow> forward{
       make_flow(sim::IoKind::kRead, sim::Locality::kLocal, 64 * kMB),
       make_flow(sim::IoKind::kWrite, sim::Locality::kLocal, 64 * kMB)};
@@ -459,64 +404,7 @@ TEST_F(AllocatorTest, MemoKeyDistinguishesOffDeviceCosts) {
                                           /*sw_ns=*/50000.0)};
   allocate(cheap);
   allocate(costly);
-  EXPECT_EQ(allocator_.counters().cache_hits, 0u);
   EXPECT_GT(cheap[0].progress_rate, costly[0].progress_rate);
-}
-
-TEST_F(AllocatorTest, DisablingMemoizationStillSolvesEveryCall) {
-  allocator_.set_memoization(false);
-  std::vector<sim::Flow> flows{
-      make_flow(sim::IoKind::kRead, sim::Locality::kLocal, 64 * kMB)};
-  allocate(flows);
-  allocate(flows);
-  EXPECT_EQ(allocator_.counters().allocate_calls, 2u);
-  EXPECT_EQ(allocator_.counters().solves, 2u);
-  EXPECT_EQ(allocator_.counters().cache_hits, 0u);
-}
-
-TEST_F(AllocatorTest, InstancesDoNotCrossPollinate) {
-  // Two allocators (stand-ins for two engines running side by side)
-  // must keep independent memo caches, counters, and toggles: the
-  // sharded scheduler relies on per-instance state for its regions to
-  // be advanceable on separate threads.
-  OptaneRateAllocator a(
-      BandwidthModel(OptaneParams{}, interconnect::UpiModel{}));
-  OptaneRateAllocator b(
-      BandwidthModel(OptaneParams{}, interconnect::UpiModel{}));
-  b.set_memoization(false);
-  EXPECT_TRUE(a.memoization_enabled());  // b's toggle is b's alone
-
-  auto run = [](OptaneRateAllocator& allocator) {
-    std::vector<sim::Flow> flows{
-        make_flow(sim::IoKind::kWrite, sim::Locality::kLocal, 64 * kMB)};
-    std::vector<sim::Flow*> pointers{&flows[0]};
-    allocator.allocate(pointers);
-    return flows[0].progress_rate;
-  };
-
-  // Warm a's memo; the repeat hits a without touching b.
-  const double rate_a1 = run(a);
-  const double rate_a2 = run(a);
-  EXPECT_EQ(rate_a1, rate_a2);
-  EXPECT_EQ(a.counters().allocate_calls, 2u);
-  EXPECT_EQ(a.counters().solves, 1u);
-  EXPECT_EQ(a.counters().cache_hits, 1u);
-  EXPECT_EQ(b.counters(), AllocatorCounters{});
-
-  // The same sequence on b cannot hit a's cache entry, and b's
-  // (memoization-off) solves don't inflate a's counters.
-  const double rate_b = run(b);
-  run(b);
-  EXPECT_EQ(rate_b, rate_a1);  // same physics, separate caches
-  EXPECT_EQ(b.counters().allocate_calls, 2u);
-  EXPECT_EQ(b.counters().solves, 2u);
-  EXPECT_EQ(b.counters().cache_hits, 0u);
-  EXPECT_EQ(a.counters().allocate_calls, 2u);
-
-  // reset_counters is per-instance too.
-  a.reset_counters();
-  EXPECT_EQ(a.counters(), AllocatorCounters{});
-  EXPECT_EQ(b.counters().solves, 2u);
 }
 
 TEST_F(AllocatorTest, DeterministicAcrossCalls) {
@@ -541,8 +429,9 @@ TEST_F(AllocatorTest, DeterministicAcrossCalls) {
 TEST_F(AllocatorTest, PerClassSolveMatchesPerFlowOracle) {
   // Seeded random flow sets: 1-48 flows drawn from 1-6 classes in
   // interleaved order, small and large ops, local and remote, read and
-  // write, memoization on and off. Every rate and the whole report must
-  // match the per-flow oracle bit for bit.
+  // write. Every rate and the whole report must match the per-flow
+  // oracle bit for bit, on the first call and on a second call that
+  // re-solves on the allocator's reused scratch buffers.
   const BandwidthModel model(OptaneParams{}, interconnect::UpiModel{});
   const Bytes op_sizes[] = {256, 2 * kKB, 4608, 64 * kKiB, 2 * kMiB,
                             64 * kMB};
@@ -567,13 +456,10 @@ TEST_F(AllocatorTest, PerClassSolveMatchesPerFlowOracle) {
     }
     const OracleSolution oracle = per_flow_fixed_point(model, flows);
 
-    const bool memoize = trial % 2 == 0;
     OptaneRateAllocator allocator(model);
-    allocator.set_memoization(memoize);
     std::vector<sim::Flow*> pointers;
     for (auto& flow : flows) pointers.push_back(&flow);
-    // With memoization on, the second call replays the cached solution.
-    for (int call = 0; call < (memoize ? 2 : 1); ++call) {
+    for (int call = 0; call < 2; ++call) {
       allocator.allocate(pointers);
       for (std::size_t i = 0; i < flows.size(); ++i) {
         EXPECT_EQ(flows[i].device_rate, oracle.device_rate[i]) << i;
@@ -591,7 +477,6 @@ TEST_F(AllocatorTest, PerClassSolveMatchesPerFlowOracle) {
       EXPECT_EQ(report.census.remote_write_large,
                 oracle.report.census.remote_write_large);
     }
-    EXPECT_EQ(allocator.counters().solves, 1u);
   }
 }
 

@@ -240,34 +240,6 @@ TEST(Sharding, MetricsMergeSumsRegionCounters) {
   EXPECT_EQ(sharded->metrics.rate_solves(), allocator.solves);
 }
 
-TEST(Sharding, MemoizationToggleKeepsScheduleIdentical) {
-  // Per-allocator memoization is a pure wall-clock optimization even
-  // under sharding: on vs off cannot move a simulated nanosecond.
-  const auto stream = must_stream(stream_params(200));
-  ServiceConfig config;
-  config.nodes = 8;
-  config.queue_capacity = stream.size();
-  config.defer_watermark = 1.0;
-  config.sharding.regions = 4;
-  config.sharding.threads = 2;
-
-  ServiceConfig uncached_config = config;
-  uncached_config.allocator_memoization = false;
-  auto memoized = OnlineScheduler(config).run(stream);
-  auto uncached = OnlineScheduler(uncached_config).run(stream);
-  ASSERT_TRUE(memoized.has_value());
-  ASSERT_TRUE(uncached.has_value());
-  ASSERT_EQ(memoized->completions.size(), uncached->completions.size());
-  for (std::size_t i = 0; i < memoized->completions.size(); ++i) {
-    EXPECT_TRUE(identical_records(memoized->completions[i],
-                                  uncached->completions[i]));
-  }
-  EXPECT_GT(memoized->metrics.allocator.cache_hits, 0u);
-  EXPECT_EQ(uncached->metrics.allocator.cache_hits, 0u);
-  EXPECT_GT(uncached->metrics.allocator.solves,
-            memoized->metrics.allocator.solves);
-}
-
 TEST(Sharding, RegionsClampToNodeCount) {
   const auto stream = must_stream(stream_params(100));
   ServiceConfig config;
