@@ -24,18 +24,20 @@
 //                [--shards N] [--json f] [--smoke]
 //
 // --smoke shrinks the stream for the CI tier-1 smoke job; --shards
-// caps the worker-thread sweep (default 4).
+// caps the worker-thread sweep (default 4). A bad command line exits 2.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_json.hpp"
+#include "common/flags.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "service/arrivals.hpp"
@@ -73,31 +75,61 @@ struct RunOutcome {
 int main(int argc, char** argv) {
   using namespace pmemflow;
 
-  std::uint64_t submissions = 50000;
-  std::uint32_t nodes = 8;
-  std::uint32_t classes = 24;
-  std::uint32_t max_shards = 4;
-  bool smoke = false;
-  std::string json_path = "BENCH_perf.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--submissions") == 0 && i + 1 < argc) {
-      submissions = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--nodes") == 0 && i + 1 < argc) {
-      nodes = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--classes") == 0 && i + 1 < argc) {
-      classes =
-          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      max_shards =
-          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
+  FlagParser flags(
+      "perf_service: service perf gate (repeat identity, sharded-replay "
+      "identity and speedup)");
+  flags.add_int("submissions", 50000, "submissions in the Poisson stream");
+  flags.add_int("nodes", 8, "fleet size");
+  flags.add_int("classes", 24, "workflow classes in the stream");
+  flags.add_int("shards", 4,
+                "largest worker-thread count of the 1/2/4 sharded sweep");
+  flags.add_string("json", "BENCH_perf.json",
+                   "write the perf_service section of this JSON file");
+  flags.add_bool("smoke", false,
+                 "cap the stream at 4000 submissions (CI smoke job)");
+  const std::string program = argc > 0 ? argv[0] : "perf_service";
+  auto status = flags.parse(argc, argv);
+  if (!status.has_value()) {
+    const std::string& message = status.error().message;
+    if (message.find("usage:") != std::string::npos) {
+      std::cout << message << "\n";
+      return 0;
+    }
+    std::cerr << "error: " << message << "\n" << flags.usage(program);
+    return 2;
+  }
+  if (!flags.positional().empty()) {
+    std::cerr << "error: unexpected argument '" << flags.positional().front()
+              << "'\n"
+              << flags.usage(program);
+    return 2;
+  }
+  // Every count is positive; the fleet-shape ones must fit 32 bits.
+  constexpr std::int64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+  const std::pair<const char*, std::int64_t> counts[] = {
+      {"submissions", std::numeric_limits<std::int64_t>::max()},
+      {"nodes", kMaxU32},
+      {"classes", kMaxU32},
+      {"shards", kMaxU32}};
+  for (const auto& [name, max] : counts) {
+    const std::int64_t value = flags.get_int(name);
+    if (value < 1 || value > max) {
+      std::cerr << format("error: --%s must be between 1 and %lld, got %lld\n",
+                          name, static_cast<long long>(max),
+                          static_cast<long long>(value));
+      return 2;
     }
   }
-  if (smoke) submissions = std::min<std::uint64_t>(submissions, 4000);
-  max_shards = std::max<std::uint32_t>(1, max_shards);
+
+  std::uint64_t submissions =
+      static_cast<std::uint64_t>(flags.get_int("submissions"));
+  const auto nodes = static_cast<std::uint32_t>(flags.get_int("nodes"));
+  const auto classes = static_cast<std::uint32_t>(flags.get_int("classes"));
+  const auto max_shards = static_cast<std::uint32_t>(flags.get_int("shards"));
+  const std::string json_path = flags.get_string("json");
+  if (flags.get_bool("smoke")) {
+    submissions = std::min<std::uint64_t>(submissions, 4000);
+  }
   constexpr int kRepeats = 3;  // best-of-3 absorbs scheduler jitter
 
   service::ArrivalParams arrivals;
