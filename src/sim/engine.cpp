@@ -36,6 +36,31 @@ EventId Engine::call_at(SimTime when, EventQueue::Callback callback) {
   return queue_.schedule(when, std::move(callback));
 }
 
+EventId Engine::call_at_slot(SimTime when, std::uint64_t sequence,
+                             EventQueue::Callback callback) {
+  PMEMFLOW_ASSERT_MSG(when >= now_, "cannot schedule into the past");
+  return queue_.schedule_reserved(when, sequence, std::move(callback));
+}
+
+void Engine::defer(Deferrable& target) {
+  drop_deferred(target);
+  deferred_.push_back(Slot{&target, queue_.reserve_sequence()});
+}
+
+void Engine::drop_deferred(Deferrable& target) {
+  std::erase_if(deferred_,
+                [&target](const Slot& slot) { return slot.target == &target; });
+}
+
+void Engine::flush_due_slots() {
+  while (!deferred_.empty() &&
+         !queue_.has_event_before(now_, deferred_.front().sequence)) {
+    const Slot slot = deferred_.front();
+    deferred_.erase(deferred_.begin());
+    slot.target->flush(slot.sequence);
+  }
+}
+
 void Engine::schedule_resume(SimTime when, std::coroutine_handle<> handle) {
   PMEMFLOW_ASSERT(handle);
   PMEMFLOW_ASSERT_MSG(when >= now_, "cannot schedule into the past");
@@ -75,7 +100,9 @@ void Engine::reclaim_finished_roots() {
 
 RunStats Engine::run() {
   RunStats stats;
-  while (!queue_.empty()) {
+  while (true) {
+    flush_due_slots();
+    if (queue_.empty()) break;
     auto [when, callback] = queue_.pop();
     PMEMFLOW_ASSERT(when >= now_);
     now_ = when;
@@ -101,7 +128,9 @@ RunStats Engine::run() {
 
 RunStats Engine::run_until(SimTime deadline) {
   RunStats stats;
-  while (!queue_.empty() && queue_.next_time() <= deadline) {
+  while (true) {
+    flush_due_slots();
+    if (queue_.empty() || queue_.next_time() > deadline) break;
     auto [when, callback] = queue_.pop();
     PMEMFLOW_ASSERT(when >= now_);
     now_ = when;

@@ -4,6 +4,12 @@
 // event queue and drives coroutine processes (sim::Task). Determinism:
 // same inputs => same event order => bit-identical results, because ties
 // are broken by insertion order and no wall-clock or OS entropy is used.
+//
+// Work that several events of one instant would each redo (a device
+// re-solving its flow rates on every arrival) can be deferred to a
+// reserved FIFO slot instead: it runs once, where the last deferral
+// would have scheduled its follow-up event, and that event keeps the
+// slot's place in the FIFO order.
 #pragma once
 
 #include <coroutine>
@@ -27,6 +33,18 @@ struct RunStats {
   std::size_t stranded_roots = 0;
 };
 
+/// Work deferred to a reserved FIFO slot of the current instant (see
+/// Engine::defer).
+class Deferrable {
+ public:
+  virtual ~Deferrable() = default;
+
+  /// Runs the deferred work. An event the work schedules with
+  /// Engine::call_at_slot(when, sequence, ...) orders as if it had been
+  /// scheduled when the slot was reserved.
+  virtual void flush(std::uint64_t sequence) = 0;
+};
+
 class Engine {
  public:
   Engine() = default;
@@ -45,8 +63,26 @@ class Engine {
   /// Schedules `callback` at absolute time `when` (must be >= now()).
   EventId call_at(SimTime when, EventQueue::Callback callback);
 
+  /// Schedules `callback` at `when` (must be >= now()) in a slot that
+  /// defer() reserved and passed to Deferrable::flush.
+  EventId call_at_slot(SimTime when, std::uint64_t sequence,
+                       EventQueue::Callback callback);
+
   /// Cancels a scheduled callback; returns false if already fired.
   bool cancel(EventId id) { return queue_.cancel(id); }
+
+  /// Reserves a FIFO slot at now() for `target`: the sequence number the
+  /// next scheduled event would have taken. Replaces any slot `target`
+  /// already holds, so deferring again within one instant moves the work
+  /// behind the events queued meanwhile. run() and run_until() call
+  /// target.flush(sequence) before they pop any event that orders after
+  /// the slot, and before they return on a drained queue; time never
+  /// advances past a slot. A flush is not an event: RunStats does not
+  /// count it.
+  void defer(Deferrable& target);
+
+  /// Drops `target`'s slot, if it holds one; its work does not run.
+  void drop_deferred(Deferrable& target);
 
   /// Schedules `handle` to be resumed at time `when`.
   void schedule_resume(SimTime when, std::coroutine_handle<> handle);
@@ -81,6 +117,9 @@ class Engine {
                      std::exception_ptr exception);
   /// Destroys and forgets every frame in finished_roots_.
   void reclaim_finished_roots();
+  /// Flushes every deferred slot that orders before the earliest live
+  /// event (all of them on an empty queue).
+  void flush_due_slots();
 
   SimTime now_ = 0;
   EventQueue queue_;
@@ -91,6 +130,13 @@ class Engine {
   std::vector<std::coroutine_handle<>> live_root_frames_;
   std::vector<std::coroutine_handle<>> finished_roots_;
   std::exception_ptr first_error_;
+  struct Slot {
+    Deferrable* target;
+    std::uint64_t sequence;
+  };
+  /// Reserved slots, in sequence order. All lie at now_: the clock only
+  /// moves once every slot has been flushed.
+  std::vector<Slot> deferred_;
 };
 
 /// Awaitable: suspends the current task for `delay` simulated time.

@@ -14,9 +14,21 @@ constexpr std::size_t kCompactionFloor = 64;
 }  // namespace
 
 EventId EventQueue::schedule(SimTime when, Callback callback) {
+  return push(when, next_sequence_++, std::move(callback));
+}
+
+EventId EventQueue::schedule_reserved(SimTime when, std::uint64_t sequence,
+                                      Callback callback) {
+  PMEMFLOW_ASSERT_MSG(sequence < next_sequence_,
+                      "sequence was never reserved");
+  return push(when, sequence, std::move(callback));
+}
+
+EventId EventQueue::push(SimTime when, std::uint64_t sequence,
+                         Callback callback) {
   PMEMFLOW_ASSERT(callback != nullptr);
   const std::uint64_t id = next_id_++;
-  heap_.push_back(Entry{when, next_sequence_++, id});
+  heap_.push_back(Entry{when, sequence, id});
   std::push_heap(heap_.begin(), heap_.end());
   live_.emplace(id, std::move(callback));
   return EventId{id};
@@ -65,6 +77,14 @@ SimTime EventQueue::next_time() const {
   drop_dead_entries();
   PMEMFLOW_ASSERT_MSG(!heap_.empty(), "next_time() on empty queue");
   return heap_.front().when;
+}
+
+bool EventQueue::has_event_before(SimTime when,
+                                  std::uint64_t sequence) const {
+  drop_dead_entries();
+  if (heap_.empty()) return false;
+  const Entry& top = heap_.front();
+  return top.when < when || (top.when == when && top.sequence < sequence);
 }
 
 std::pair<SimTime, EventQueue::Callback> EventQueue::pop() {

@@ -1,12 +1,16 @@
 // Time-ordered event queue with O(log n) insert/pop and cancellation.
 //
 // Events at equal timestamps fire in insertion order (FIFO), which makes
-// every simulation run fully deterministic. Cancellation is lazy: a
-// cancelled entry stays in the heap and is skipped when popped — but the
-// backlog is bounded: when dead entries outnumber live ones the heap is
-// compacted in one O(n) rebuild, so cancel/reschedule churn (e.g. a
-// FlowResource rescheduling its completion on every arrival) keeps the
-// heap O(live) instead of O(total events ever scheduled).
+// every simulation run fully deterministic. A caller may reserve a FIFO
+// slot (a sequence number) now and schedule into it later; the event
+// then fires exactly where one scheduled at reservation time would have.
+//
+// Cancellation is lazy: a cancelled entry stays in the heap and is
+// skipped when popped — but the backlog is bounded: when dead entries
+// outnumber live ones the heap is compacted in one O(n) rebuild, so
+// cancel/reschedule churn (e.g. a FlowResource cancelling its completion
+// whenever its flow set changes) keeps the heap O(live) instead of
+// O(total events ever scheduled).
 #pragma once
 
 #include <cstdint>
@@ -35,6 +39,20 @@ class EventQueue {
   /// Schedules `callback` to fire at absolute time `when`.
   EventId schedule(SimTime when, Callback callback);
 
+  /// Reserves the next FIFO sequence number without scheduling anything.
+  /// Events scheduled afterwards order behind it; a reservation that is
+  /// never used moves no other event.
+  [[nodiscard]] std::uint64_t reserve_sequence() noexcept {
+    return next_sequence_++;
+  }
+
+  /// Schedules `callback` at `when` under a sequence number from
+  /// reserve_sequence(), so among events at `when` it fires where an
+  /// event scheduled at reservation time would have. Use each reserved
+  /// number at most once.
+  EventId schedule_reserved(SimTime when, std::uint64_t sequence,
+                            Callback callback);
+
   /// Cancels a previously scheduled event. Returns false if the event
   /// already fired or was already cancelled.
   bool cancel(EventId id);
@@ -54,6 +72,12 @@ class EventQueue {
 
   /// Timestamp of the earliest live event; queue must not be empty.
   [[nodiscard]] SimTime next_time() const;
+
+  /// True when the earliest live event orders before the key
+  /// (`when`, `sequence`): earlier time, or equal time and a smaller
+  /// sequence. False on an empty queue.
+  [[nodiscard]] bool has_event_before(SimTime when,
+                                      std::uint64_t sequence) const;
 
   /// Removes and returns the earliest live event's callback together
   /// with its timestamp; queue must not be empty.
@@ -79,6 +103,7 @@ class EventQueue {
     }
   };
 
+  EventId push(SimTime when, std::uint64_t sequence, Callback callback);
   void drop_dead_entries() const;
   /// Rebuilds the heap without dead entries once they outnumber live
   /// ones (and the heap is big enough for the rebuild to matter).

@@ -30,6 +30,7 @@ FlowResource::~FlowResource() {
   if (pending_completion_.valid()) {
     engine_.cancel(pending_completion_);
   }
+  engine_.drop_deferred(*this);
 }
 
 void FlowResource::add_flow(const FlowSpec& spec,
@@ -78,8 +79,14 @@ void FlowResource::reallocate() {
     engine_.cancel(pending_completion_);
     pending_completion_ = EventId{};
   }
-  if (active_.empty()) return;
+  if (active_.empty()) {
+    engine_.drop_deferred(*this);
+  } else {
+    engine_.defer(*this);
+  }
+}
 
+void FlowResource::flush(std::uint64_t sequence) {
   if (flows_dirty_) {
     flow_scratch_.clear();
     flow_scratch_.reserve(active_.size());
@@ -103,8 +110,8 @@ void FlowResource::reallocate() {
   // Round up so the event fires at-or-after the true completion instant;
   // settle_progress clamps any overshoot.
   const auto delay = static_cast<SimDuration>(std::ceil(min_eta));
-  pending_completion_ =
-      engine_.call_after(delay, [this] { on_completion_event(); });
+  pending_completion_ = engine_.call_at_slot(
+      engine_.now() + delay, sequence, [this] { on_completion_event(); });
 }
 
 void FlowResource::on_completion_event() {
@@ -125,7 +132,7 @@ void FlowResource::on_completion_event() {
     }
   }
   // Rounding can fire the event one tick before any flow finishes; in
-  // that case reallocate() just reschedules (clean set => no re-solve).
+  // that case the flush just reschedules (clean set => no re-solve).
   reallocate();
   for (auto handle : resume_scratch_) {
     engine_.schedule_resume(engine_.now(), handle);

@@ -3,9 +3,13 @@
 // An I/O phase of a simulated rank is modeled as a *flow*: a quantity of
 // payload bytes moved through a shared device at a rate set by a
 // device-specific RateAllocator. Whenever the set of active flows
-// changes, progress is settled at the old rates and new rates are
-// computed for every live flow; the resource keeps exactly one pending
-// "next completion" event.
+// changes, progress is settled at the old rates; new rates are computed
+// for every live flow once per simulated instant at which the set
+// changed, however many arrivals and departures that instant saw. The
+// resource keeps at most one pending "next completion" event, and that
+// event fires at the same (time, FIFO rank) as if the rates had been
+// re-solved on every change: a rate vector superseded within its own
+// instant would have moved no bytes.
 //
 // The allocator sees each flow's full class (read/write, local/remote,
 // op granularity, per-op software and interleaved-compute costs), which
@@ -87,20 +91,22 @@ struct FlowResourceStats {
   double concurrency_time_integral = 0.0;
   /// Time during which at least one flow was active (ns).
   double busy_time = 0.0;
-  /// Allocator invocations (the flow set changed since the last solve).
+  /// Allocator invocations: one per instant at which the flow set
+  /// changed and flows remained.
   std::uint64_t rate_solves = 0;
-  /// Completion events that rescheduled without re-running the
-  /// allocator because the flow set was unchanged (dirty-flag skip).
+  /// Completion events rescheduled without re-running the allocator
+  /// because the flow set was unchanged (an event that fired a tick
+  /// before any flow finished, with nothing else changing that instant).
   std::uint64_t solves_skipped = 0;
 };
 
 /// A shared transfer resource (one PMEM interleave set, one UPI link...).
-class FlowResource {
+class FlowResource : private Deferrable {
  public:
   FlowResource(Engine& engine, RateAllocator& allocator, std::string name);
   FlowResource(const FlowResource&) = delete;
   FlowResource& operator=(const FlowResource&) = delete;
-  ~FlowResource();
+  ~FlowResource() override;
 
   /// Awaitable that moves spec.total_bytes through the resource and
   /// resumes the caller on completion. Zero-byte transfers complete
@@ -136,11 +142,16 @@ class FlowResource {
   void add_flow(const FlowSpec& spec, std::coroutine_handle<> waiter);
   /// Settles progress at current rates since last_update_.
   void settle_progress();
-  /// (Re)schedules the next completion event; re-runs the allocator
-  /// only when the flow set changed since the last solve (dirty flag —
-  /// an unchanged set re-solves to the identical rates, so skipping is
-  /// byte-identical and keeps spurious wakeups off the hot path).
+  /// Cancels the pending completion and, while flows remain, defers the
+  /// re-solve to an engine slot at this instant (Engine::defer). Each
+  /// call takes the FIFO slot that scheduling the completion right away
+  /// would have taken, so only the last call of an instant counts.
   void reallocate();
+  /// Runs the deferred re-solve and schedules the next completion in
+  /// slot `sequence`. Re-runs the allocator only when the flow set
+  /// changed since the last solve (dirty flag — an unchanged set
+  /// re-solves to the identical rates, so skipping is byte-identical).
+  void flush(std::uint64_t sequence) override;
   void on_completion_event();
 
   Engine& engine_;

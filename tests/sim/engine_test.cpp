@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/task.hpp"
@@ -189,6 +191,96 @@ TEST(Engine, RunUntilOnEmptyQueueIsNoop) {
   const RunStats stats = engine.run_until(100);
   EXPECT_EQ(stats.events_processed, 0u);
   EXPECT_EQ(engine.now(), 0u);
+}
+
+/// Deferred work that logs its flush and, like FlowResource, schedules
+/// a follow-up event `delay` later in its slot.
+class LoggingTarget : public Deferrable {
+ public:
+  LoggingTarget(Engine& engine, std::vector<std::string>& log,
+                SimDuration delay)
+      : engine_(engine), log_(log), delay_(delay) {}
+
+  void flush(std::uint64_t sequence) override {
+    log_.push_back("flush@" + std::to_string(engine_.now()));
+    engine_.call_at_slot(engine_.now() + delay_, sequence, [this] {
+      log_.push_back("follow-up@" + std::to_string(engine_.now()));
+    });
+  }
+
+ private:
+  Engine& engine_;
+  std::vector<std::string>& log_;
+  SimDuration delay_;
+};
+
+TEST(Engine, DeferredWorkRunsAtItsSlotBeforeTimeAdvances) {
+  Engine engine;
+  std::vector<std::string> log;
+  LoggingTarget target(engine, log, 0);
+  engine.call_at(0, [&] {
+    log.push_back("a");
+    engine.defer(target);
+    engine.call_at(0, [&] { log.push_back("c"); });  // orders after the slot
+  });
+  engine.call_at(0, [&] { log.push_back("b"); });  // orders before it
+  engine.call_at(10, [&] { log.push_back("d@10"); });
+  const RunStats stats = engine.run_to_completion();
+
+  // The zero-delay follow-up takes the slot's FIFO rank, ahead of c.
+  EXPECT_EQ(log, (std::vector<std::string>{"a", "b", "flush@0",
+                                           "follow-up@0", "c", "d@10"}));
+  // a, b, c, d and the follow-up; the flush itself is not an event.
+  EXPECT_EQ(stats.events_processed, 5u);
+}
+
+TEST(Engine, RedeferMovesTheSlotBehindEventsQueuedMeanwhile) {
+  Engine engine;
+  std::vector<std::string> log;
+  LoggingTarget target(engine, log, 0);
+  engine.call_at(0, [&] {
+    log.push_back("a");
+    engine.defer(target);
+    engine.call_at(0, [&] { log.push_back("c"); });
+  });
+  engine.call_at(0, [&] {
+    log.push_back("b");
+    engine.defer(target);  // replaces a's slot, now behind c
+    engine.call_at(0, [&] { log.push_back("e"); });
+  });
+  engine.run_to_completion();
+  EXPECT_EQ(log, (std::vector<std::string>{"a", "b", "c", "flush@0",
+                                           "follow-up@0", "e"}));
+}
+
+TEST(Engine, DroppedSlotDoesNotRun) {
+  Engine engine;
+  std::vector<std::string> log;
+  LoggingTarget target(engine, log, 0);
+  engine.call_at(0, [&] { engine.defer(target); });
+  engine.call_at(0, [&] { engine.drop_deferred(target); });
+  engine.run_to_completion();
+  EXPECT_TRUE(log.empty());
+}
+
+TEST(Engine, RunUntilLeavesNothingDeferred) {
+  Engine engine;
+  std::vector<std::string> log;
+  LoggingTarget due(engine, log, 0);
+  LoggingTarget late(engine, log, 10);
+  engine.call_at(5, [&] {
+    engine.defer(due);
+    engine.defer(late);
+  });
+  const RunStats stats = engine.run_until(10);
+  // Both slots flushed; the follow-up due at 5 ran, the one at 15 waits.
+  EXPECT_EQ(log, (std::vector<std::string>{"flush@5", "follow-up@5",
+                                           "flush@5"}));
+  EXPECT_EQ(stats.events_processed, 2u);
+  EXPECT_EQ(engine.now(), 5u);
+
+  (void)engine.run_to_completion();
+  EXPECT_EQ(log.back(), "follow-up@15");
 }
 
 /// Frame-lifetime observer: lives inside a coroutine frame, so the

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 namespace pmemflow::sim {
@@ -128,6 +129,47 @@ TEST(EventQueue, ManyEventsStressOrdering) {
   for (std::size_t i = 1; i < fire_times.size(); ++i) {
     EXPECT_LE(fire_times[i - 1], fire_times[i]);
   }
+}
+
+TEST(EventQueue, ReservedSequenceFiresAtItsFifoRank) {
+  // Scheduled late under a reserved sequence, an event fires among
+  // same-time events where it would have fired if scheduled when the
+  // sequence was reserved.
+  EventQueue queue;
+  std::vector<int> fired;
+  queue.schedule(5, [&] { fired.push_back(1); });
+  const std::uint64_t slot = queue.reserve_sequence();
+  queue.schedule(5, [&] { fired.push_back(3); });
+  queue.schedule(4, [&] { fired.push_back(0); });
+  queue.schedule_reserved(5, slot, [&] { fired.push_back(2); });
+  while (!queue.empty()) queue.pop().second();
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(EventQueue, UnusedReservationMovesNoEvent) {
+  EventQueue queue;
+  std::vector<int> fired;
+  queue.schedule(5, [&] { fired.push_back(1); });
+  (void)queue.reserve_sequence();
+  queue.schedule(5, [&] { fired.push_back(2); });
+  queue.schedule(3, [&] { fired.push_back(0); });
+  EXPECT_EQ(queue.size(), 3u);
+  while (!queue.empty()) queue.pop().second();
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(EventQueue, HasEventBeforeOrdersByTimeThenSequence) {
+  EventQueue queue;
+  EXPECT_FALSE(queue.has_event_before(100, 0));  // empty queue
+  const std::uint64_t earlier = queue.reserve_sequence();
+  const EventId id = queue.schedule(10, [] {});
+  const std::uint64_t later = queue.reserve_sequence();
+  EXPECT_TRUE(queue.has_event_before(11, earlier));
+  EXPECT_TRUE(queue.has_event_before(10, later));
+  EXPECT_FALSE(queue.has_event_before(10, earlier));
+  EXPECT_FALSE(queue.has_event_before(9, later));
+  ASSERT_TRUE(queue.cancel(id));
+  EXPECT_FALSE(queue.has_event_before(11, later));  // dead head skipped
 }
 
 TEST(EventQueue, RescheduleMovesEventToNewTime) {
