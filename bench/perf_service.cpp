@@ -36,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_flags.hpp"
 #include "bench_json.hpp"
 #include "common/flags.hpp"
 #include "common/strings.hpp"
@@ -87,38 +88,15 @@ int main(int argc, char** argv) {
                    "write the perf_service section of this JSON file");
   flags.add_bool("smoke", false,
                  "cap the stream at 4000 submissions (CI smoke job)");
-  const std::string program = argc > 0 ? argv[0] : "perf_service";
-  auto status = flags.parse(argc, argv);
-  if (!status.has_value()) {
-    const std::string& message = status.error().message;
-    if (message.find("usage:") != std::string::npos) {
-      std::cout << message << "\n";
-      return 0;
-    }
-    std::cerr << "error: " << message << "\n" << flags.usage(program);
-    return 2;
-  }
-  if (!flags.positional().empty()) {
-    std::cerr << "error: unexpected argument '" << flags.positional().front()
-              << "'\n"
-              << flags.usage(program);
-    return 2;
-  }
   // Every count is positive; the fleet-shape ones must fit 32 bits.
   constexpr std::int64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
-  const std::pair<const char*, std::int64_t> counts[] = {
-      {"submissions", std::numeric_limits<std::int64_t>::max()},
-      {"nodes", kMaxU32},
-      {"classes", kMaxU32},
-      {"shards", kMaxU32}};
-  for (const auto& [name, max] : counts) {
-    const std::int64_t value = flags.get_int(name);
-    if (value < 1 || value > max) {
-      std::cerr << format("error: --%s must be between 1 and %lld, got %lld\n",
-                          name, static_cast<long long>(max),
-                          static_cast<long long>(value));
-      return 2;
-    }
+  if (const auto exit_code = bench::parse_bench_flags(
+          flags, argc, argv,
+          {{"submissions", std::numeric_limits<std::int64_t>::max()},
+           {"nodes", kMaxU32},
+           {"classes", kMaxU32},
+           {"shards", kMaxU32}})) {
+    return *exit_code;
   }
 
   std::uint64_t submissions =

@@ -18,16 +18,21 @@
 //   service_throughput [--submissions N] [--nodes N] [--smoke]
 //                      [--csv out.csv] [--json f]
 //
-// --smoke shrinks the stream for CI tier-1. The run also appends a
-// "service_throughput" section (wall-clock events/sec and the
-// recommender-aware p99 delay) to BENCH_service.json for the CI
-// artifact.
+// --smoke shrinks the stream for CI tier-1; a bad command line exits 2.
+// The run also appends a "service_throughput" section (wall-clock
+// events/sec and the recommender-aware p99 delay) to BENCH_service.json
+// for the CI artifact.
+#include <algorithm>
 #include <chrono>
-#include <cstring>
+#include <cstdint>
 #include <iostream>
+#include <limits>
+#include <string>
 
+#include "bench_flags.hpp"
 #include "bench_json.hpp"
 #include "common/csv.hpp"
+#include "common/flags.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "service/arrivals.hpp"
@@ -36,25 +41,30 @@
 int main(int argc, char** argv) {
   using namespace pmemflow;
 
-  std::uint64_t submissions = 100000;
-  std::uint32_t nodes = 8;
-  bool smoke = false;
-  std::string csv_path;
-  std::string json_path = "BENCH_service.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
-      csv_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--submissions") == 0 && i + 1 < argc) {
-      submissions = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--nodes") == 0 && i + 1 < argc) {
-      nodes = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
+  FlagParser flags(
+      "service_throughput: placement policies on one Poisson stream "
+      "(recommender-aware must win on mean delay and makespan)");
+  flags.add_int("submissions", 100000, "submissions in the Poisson stream");
+  flags.add_int("nodes", 8, "fleet size");
+  flags.add_bool("smoke", false,
+                 "cap the stream at 5000 submissions (CI smoke job)");
+  flags.add_string("csv", "", "also write per-policy metrics to this CSV");
+  flags.add_string("json", "BENCH_service.json",
+                   "write the service_throughput section of this JSON file");
+  if (const auto exit_code = bench::parse_bench_flags(
+          flags, argc, argv,
+          {{"submissions", std::numeric_limits<std::int64_t>::max()},
+           {"nodes", std::numeric_limits<std::uint32_t>::max()}})) {
+    return *exit_code;
   }
-  if (smoke) submissions = std::min<std::uint64_t>(submissions, 5000);
+  std::uint64_t submissions =
+      static_cast<std::uint64_t>(flags.get_int("submissions"));
+  const auto nodes = static_cast<std::uint32_t>(flags.get_int("nodes"));
+  const std::string csv_path = flags.get_string("csv");
+  const std::string json_path = flags.get_string("json");
+  if (flags.get_bool("smoke")) {
+    submissions = std::min<std::uint64_t>(submissions, 5000);
+  }
 
   service::ArrivalParams arrivals;
   arrivals.count = submissions;
