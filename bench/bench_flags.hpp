@@ -1,4 +1,5 @@
-// Command-line handling shared by the service perf benches.
+// Command-line handling shared by perf_service, service_gates and
+// whatif_devices.
 //
 // A bench must not run its default (large) stream on a typo: an unknown
 // flag, a non-numeric or missing value, a stray argument, or a count
@@ -6,10 +7,12 @@
 // problem, then the usage.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <initializer_list>
 #include <iostream>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -24,10 +27,11 @@ using CountFlag = std::pair<const char*, std::int64_t>;
 /// Parses argv into `flags`. Returns the exit code the bench stops with
 /// (0 after printing `--help`, 2 after a bad command line), or nullopt
 /// when the run goes ahead. Every flag in `counts` must lie in
-/// [1, its max].
+/// [1, its max], and every positional argument must be one of `names`.
 inline std::optional<int> parse_bench_flags(
     FlagParser& flags, int argc, char** argv,
-    std::initializer_list<CountFlag> counts) {
+    std::initializer_list<CountFlag> counts,
+    std::span<const char* const> names = {}) {
   const std::string program = argc > 0 ? argv[0] : "bench";
   auto status = flags.parse(argc, argv);
   if (!status.has_value()) {
@@ -39,11 +43,12 @@ inline std::optional<int> parse_bench_flags(
     std::cerr << "error: " << message << "\n" << flags.usage(program);
     return 2;
   }
-  if (!flags.positional().empty()) {
-    std::cerr << "error: unexpected argument '" << flags.positional().front()
-              << "'\n"
-              << flags.usage(program);
-    return 2;
+  for (const std::string& argument : flags.positional()) {
+    if (std::find(names.begin(), names.end(), argument) == names.end()) {
+      std::cerr << "error: unexpected argument '" << argument << "'\n"
+                << flags.usage(program);
+      return 2;
+    }
   }
   for (const auto& [name, max] : counts) {
     const std::int64_t value = flags.get_int(name);

@@ -19,14 +19,17 @@
 // (the registry reproduces the paper baseline), the locality-free
 // backends must produce *exact* S-LocW/S-LocR and P-LocW/P-LocR
 // runtime ties, and at least one workload's winner must shift off gen1.
+// A bad command line exits 2, so a mistyped --smoke cannot skip the gate.
+//
+//   whatif_devices [--smoke] [--csv f]
 #include <array>
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "bench_flags.hpp"
 #include "common/csv.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
@@ -203,14 +206,14 @@ int run_report(const std::string& csv_path) {
 
 int main(int argc, char** argv) {
   using namespace pmemflow;
-  std::string csv_path;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
-      csv_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
+  FlagParser flags(
+      "whatif_devices: Table I winners on every registry device preset");
+  flags.add_bool("smoke", false,
+                 "run the acceptance gate instead of the report");
+  flags.add_string("csv", "", "also write the report's winners to this CSV");
+  if (const auto exit_code = bench::parse_bench_flags(flags, argc, argv, {})) {
+    return *exit_code;
   }
-  return smoke ? run_smoke() : run_report(csv_path);
+  return flags.get_bool("smoke") ? run_smoke()
+                                 : run_report(flags.get_string("csv"));
 }

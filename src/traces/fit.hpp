@@ -8,7 +8,7 @@
 // (coefficient of variation; 1 for an ideal Poisson process) and
 // class-mix entropy (bits; log2(classes) for a uniform mix). A fitted
 // trace can be handed straight to make_submission_stream to generate a
-// statistically matched synthetic twin, which bench/service_trace
+// statistically matched synthetic twin, which `service_gates trace`
 // verifies stays within 5% on rate, priority mix, and class mix.
 #pragma once
 

@@ -32,7 +32,7 @@
 // malformed cell reports its input line, and serialization is
 // canonical — load(serialize(t)) == t and serialize(load(text)) is
 // byte-identical for canonical input, which the round-trip gate in
-// bench/service_trace enforces.
+// `service_gates trace` enforces.
 #pragma once
 
 #include <optional>

@@ -10,7 +10,7 @@ namespace pmemflow::service {
 namespace {
 
 /// Long-lived multi-version stream on a small fleet: the same regime
-/// as bench/service_capacity, shrunk for ctest.
+/// as `service_gates capacity`, at unit-test size.
 std::vector<Submission> capacity_stream(std::uint64_t count = 60) {
   ArrivalParams arrivals;
   arrivals.count = count;
