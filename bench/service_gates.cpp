@@ -63,6 +63,8 @@ namespace {
 
 using namespace pmemflow;
 using service::CompletionRecord;
+using service::record_difference;
+using service::schedule_difference;
 using Records = std::vector<CompletionRecord>;
 using Stream = std::vector<service::Submission>;
 
@@ -123,44 +125,9 @@ service::ServiceConfig admit_all(std::uint32_t nodes,
   return config;
 }
 
-/// Where and when a submission ran: the fields two runs must share even
-/// when others legitimately differ (a label and the dag flag, or the
-/// cache_hit that a warm profile cache flips). Names the first field
-/// that differs, or returns nullptr.
-const char* schedule_difference(const CompletionRecord& a,
-                                const CompletionRecord& b) {
-  if (a.id != b.id) return "id";
-  if (a.node != b.node) return "node";
-  if (a.slot != b.slot) return "slot";
-  if (a.arrival_ns != b.arrival_ns) return "arrival";
-  if (a.start_ns != b.start_ns) return "start";
-  if (a.finish_ns != b.finish_ns) return "finish";
-  return nullptr;
-}
-
-/// All 20 fields: what two runs of one stream and config agree on.
-const char* record_difference(const CompletionRecord& a,
-                              const CompletionRecord& b) {
-  if (const char* field = schedule_difference(a, b)) return field;
-  if (a.label != b.label) return "label";
-  if (a.priority != b.priority) return "priority";
-  if (a.config != b.config) return "config";
-  if (a.cache_hit != b.cache_hit) return "cache_hit";
-  if (a.best_runtime_ns != b.best_runtime_ns) return "best_runtime";
-  if (a.config_runtime_ns != b.config_runtime_ns) return "config_runtime";
-  if (a.preemptions != b.preemptions) return "preemptions";
-  if (a.migrations != b.migrations) return "migrations";
-  if (a.checkpoint_ns != b.checkpoint_ns) return "checkpoint";
-  if (a.restore_ns != b.restore_ns) return "restore";
-  if (a.work_executed_ns != b.work_executed_ns) return "work_executed";
-  if (a.colocations != b.colocations) return "colocations";
-  if (a.dag != b.dag) return "dag";
-  if (a.ephemeral_edges != b.ephemeral_edges) return "ephemeral_edges";
-  return nullptr;
-}
-
-/// Empty when `a` and `b` agree record by record under `compare` (one
-/// of the two above), else the first difference.
+/// Empty when `a` and `b` agree record by record under `compare`
+/// (record_difference or schedule_difference), else the first
+/// difference.
 std::string first_difference(const Records& a, const Records& b,
                              const char* (*compare)(const CompletionRecord&,
                                                     const CompletionRecord&)) {

@@ -32,6 +32,37 @@ std::uint64_t schedule_fingerprint(const ServiceResult& result) {
   return hasher.digest();
 }
 
+const char* schedule_difference(const CompletionRecord& a,
+                                const CompletionRecord& b) {
+  if (a.id != b.id) return "id";
+  if (a.node != b.node) return "node";
+  if (a.slot != b.slot) return "slot";
+  if (a.arrival_ns != b.arrival_ns) return "arrival";
+  if (a.start_ns != b.start_ns) return "start";
+  if (a.finish_ns != b.finish_ns) return "finish";
+  return nullptr;
+}
+
+const char* record_difference(const CompletionRecord& a,
+                              const CompletionRecord& b) {
+  if (const char* field = schedule_difference(a, b)) return field;
+  if (a.label != b.label) return "label";
+  if (a.priority != b.priority) return "priority";
+  if (a.config != b.config) return "config";
+  if (a.cache_hit != b.cache_hit) return "cache_hit";
+  if (a.best_runtime_ns != b.best_runtime_ns) return "best_runtime";
+  if (a.config_runtime_ns != b.config_runtime_ns) return "config_runtime";
+  if (a.preemptions != b.preemptions) return "preemptions";
+  if (a.migrations != b.migrations) return "migrations";
+  if (a.checkpoint_ns != b.checkpoint_ns) return "checkpoint";
+  if (a.restore_ns != b.restore_ns) return "restore";
+  if (a.work_executed_ns != b.work_executed_ns) return "work_executed";
+  if (a.colocations != b.colocations) return "colocations";
+  if (a.dag != b.dag) return "dag";
+  if (a.ephemeral_edges != b.ephemeral_edges) return "ephemeral_edges";
+  return nullptr;
+}
+
 ServiceMetrics aggregate_metrics(const std::vector<CompletionRecord>& records,
                                  SimDuration makespan_ns,
                                  const std::vector<double>& node_utilization,

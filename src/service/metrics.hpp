@@ -187,6 +187,18 @@ struct ServiceResult {
 /// describe planner-internal traffic, not the schedule.
 [[nodiscard]] std::uint64_t schedule_fingerprint(const ServiceResult& result);
 
+/// Where and when a submission ran: the fields two runs must share even
+/// when others legitimately differ (a label and the dag flag, or the
+/// cache_hit that a warm profile cache flips). Names the first field
+/// that differs, or returns nullptr.
+[[nodiscard]] const char* schedule_difference(const CompletionRecord& a,
+                                              const CompletionRecord& b);
+
+/// All 20 fields: what two runs of one stream and config agree on.
+/// Names the first field that differs, or returns nullptr.
+[[nodiscard]] const char* record_difference(const CompletionRecord& a,
+                                            const CompletionRecord& b);
+
 /// Condenses completion records + component stats into ServiceMetrics.
 [[nodiscard]] ServiceMetrics aggregate_metrics(
     const std::vector<CompletionRecord>& records, SimDuration makespan_ns,

@@ -52,17 +52,6 @@ std::vector<Submission> mixed_stream(
   return stream;
 }
 
-bool same_records(const CompletionRecord& a, const CompletionRecord& b) {
-  return a.id == b.id && a.node == b.node && a.slot == b.slot &&
-         a.config == b.config && a.cache_hit == b.cache_hit &&
-         a.start_ns == b.start_ns && a.finish_ns == b.finish_ns &&
-         a.config_runtime_ns == b.config_runtime_ns &&
-         a.work_executed_ns == b.work_executed_ns &&
-         a.preemptions == b.preemptions && a.migrations == b.migrations &&
-         a.colocations == b.colocations && a.dag == b.dag &&
-         a.ephemeral_edges == b.ephemeral_edges;
-}
-
 /// A service config that touches every keyed cache: a two-backend
 /// fleet (per-node device fingerprints), co-location (interference
 /// table), a lookahead window with the plan cache, and preemption.
@@ -114,7 +103,9 @@ TEST(ClassKeys, CallerSetKeysNeverChangeTheRun) {
 
   ASSERT_EQ(clean->completions.size(), dirty->completions.size());
   for (std::size_t i = 0; i < clean->completions.size(); ++i) {
-    EXPECT_TRUE(same_records(clean->completions[i], dirty->completions[i]))
+    EXPECT_EQ(record_difference(clean->completions[i],
+                                dirty->completions[i]),
+              nullptr)
         << "record " << i;
   }
   EXPECT_EQ(clean->metrics.dropped, dirty->metrics.dropped);

@@ -23,14 +23,6 @@ std::vector<Submission> must_stream(const ArrivalParams& params) {
   return *make_submission_stream(params);
 }
 
-bool identical_records(const CompletionRecord& a, const CompletionRecord& b) {
-  return a.id == b.id && a.label == b.label && a.priority == b.priority &&
-         a.node == b.node && a.config == b.config &&
-         a.cache_hit == b.cache_hit && a.arrival_ns == b.arrival_ns &&
-         a.start_ns == b.start_ns && a.finish_ns == b.finish_ns &&
-         a.best_runtime_ns == b.best_runtime_ns;
-}
-
 TEST(ConfigIndex, MatchesTableIOrder) {
   const auto configs = core::all_configs();
   for (std::size_t i = 0; i < configs.size(); ++i) {
@@ -54,7 +46,7 @@ TEST(OnlineScheduler, SameSeedProducesIdenticalSchedule) {
 
   ASSERT_EQ(a->completions.size(), b->completions.size());
   for (std::size_t i = 0; i < a->completions.size(); ++i) {
-    EXPECT_TRUE(identical_records(a->completions[i], b->completions[i]))
+    EXPECT_EQ(record_difference(a->completions[i], b->completions[i]), nullptr)
         << "record " << i;
   }
   EXPECT_EQ(a->metrics.makespan_ns, b->metrics.makespan_ns);
@@ -91,7 +83,7 @@ TEST(OnlineScheduler, SubmissionOrderDoesNotMatter) {
   ASSERT_TRUE(b.has_value());
   ASSERT_EQ(a->completions.size(), b->completions.size());
   for (std::size_t i = 0; i < a->completions.size(); ++i) {
-    EXPECT_TRUE(identical_records(a->completions[i], b->completions[i]));
+    EXPECT_EQ(record_difference(a->completions[i], b->completions[i]), nullptr);
   }
 }
 

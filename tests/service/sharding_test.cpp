@@ -26,14 +26,6 @@ std::vector<Submission> must_stream(const ArrivalParams& params) {
   return *make_submission_stream(params);
 }
 
-bool identical_records(const CompletionRecord& a, const CompletionRecord& b) {
-  return a.id == b.id && a.label == b.label && a.priority == b.priority &&
-         a.node == b.node && a.slot == b.slot && a.config == b.config &&
-         a.arrival_ns == b.arrival_ns && a.start_ns == b.start_ns &&
-         a.finish_ns == b.finish_ns && a.preemptions == b.preemptions &&
-         a.checkpoint_ns == b.checkpoint_ns && a.restore_ns == b.restore_ns;
-}
-
 std::string csv_row(const ServiceMetrics& metrics) {
   CsvWriter csv(service_csv_header());
   append_service_csv_row(csv, "run", metrics);
@@ -101,8 +93,9 @@ TEST(Sharding, WorkerThreadsAreAPurePerformanceKnob) {
     ASSERT_TRUE(result.has_value());
     ASSERT_EQ(result->completions.size(), baseline->completions.size());
     for (std::size_t i = 0; i < result->completions.size(); ++i) {
-      EXPECT_TRUE(
-          identical_records(result->completions[i], baseline->completions[i]))
+      EXPECT_EQ(record_difference(result->completions[i],
+                                  baseline->completions[i]),
+                nullptr)
           << "record " << i << " with " << threads << " threads";
     }
     EXPECT_EQ(csv_row(result->metrics), baseline_csv)
@@ -134,7 +127,9 @@ TEST(Sharding, ThreadsIdenticalUnderPreemptionAndCapacity) {
       << "stream too tame to exercise preemption";
   ASSERT_EQ(one->completions.size(), four->completions.size());
   for (std::size_t i = 0; i < one->completions.size(); ++i) {
-    EXPECT_TRUE(identical_records(one->completions[i], four->completions[i]))
+    EXPECT_EQ(record_difference(one->completions[i],
+                                four->completions[i]),
+              nullptr)
         << "record " << i;
   }
   EXPECT_EQ(csv_row(one->metrics), csv_row(four->metrics));
@@ -157,8 +152,9 @@ TEST(Sharding, OneRegionMatchesUnshardedScheduler) {
   EXPECT_EQ(sharded->metrics.shard_migrations, 0u);
   ASSERT_EQ(classic->completions.size(), sharded->completions.size());
   for (std::size_t i = 0; i < classic->completions.size(); ++i) {
-    EXPECT_TRUE(
-        identical_records(classic->completions[i], sharded->completions[i]));
+    EXPECT_EQ(record_difference(classic->completions[i],
+                                sharded->completions[i]),
+              nullptr);
   }
   EXPECT_EQ(csv_row(classic->metrics), csv_row(sharded->metrics));
 }
