@@ -66,8 +66,9 @@ bool colocation_compatible(const CachedProfile& a, const CachedProfile& b,
 core::DeploymentConfig preferred_parallel_config(const CachedProfile& profile) {
   // Table I order: S-LocW, S-LocR, P-LocW, P-LocR.
   const auto configs = core::all_configs();
-  return profile.runtime_ns[3] < profile.runtime_ns[2] ? configs[3]
-                                                       : configs[2];
+  return profile.options[3].runtime_ns < profile.options[2].runtime_ns
+             ? configs[3]
+             : configs[2];
 }
 
 InterferenceTable::InterferenceTable(workflow::Runner runner)

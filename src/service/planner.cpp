@@ -29,10 +29,6 @@ bool estimate_better(const PlacementCandidate& a, const PlacementCandidate& b) {
 
 }  // namespace
 
-std::uint32_t channel_socket_of(const core::DeploymentConfig& config) noexcept {
-  return config.placement == core::Placement::kLocalWrite ? 0u : 1u;
-}
-
 core::Placement flipped(core::Placement placement) noexcept {
   return placement == core::Placement::kLocalWrite
              ? core::Placement::kLocalRead
@@ -40,16 +36,12 @@ core::Placement flipped(core::Placement placement) noexcept {
 }
 
 Bytes lease_for(const capacity::ResidencyParams& params,
-                const CachedProfile& profile,
-                const workflow::WorkflowSpec& spec) {
-  // Snapshot and op basis are fleet-wide per iteration: the profile's
-  // per-rank numbers times the rank count (same basis as
-  // RunningTask::snapshot_bytes_per_iteration).
-  const Bytes snapshot =
-      profile.profile.simulation.bytes_per_iteration * spec.ranks;
-  const std::uint64_t ops =
-      profile.profile.simulation.objects_per_iteration * spec.ranks;
-  const auto iterations = std::max<std::uint32_t>(1, spec.iterations);
+                const CachedProfile& profile) {
+  // Snapshot and op basis are fleet-wide per iteration: all ranks of
+  // every edge (same basis as RunningTask::snapshot_bytes_per_iteration).
+  const Bytes snapshot = profile.bytes_per_iteration;
+  const std::uint64_t ops = profile.objects_per_iteration;
+  const std::uint32_t iterations = profile.iterations;
   const capacity::RetentionParams& retention = params.retention;
   // Without GC every committed version stays resident until the channel
   // finishes, so the lease must cover the full version volume — the
@@ -61,24 +53,14 @@ Bytes lease_for(const capacity::ResidencyParams& params,
          capacity::metadata_peak_bytes(params.nova, ops, iterations);
 }
 
-Bytes lease_for_dag(const capacity::ResidencyParams& params,
-                    const CachedDagProfile& profile) {
-  // Same basis as lease_for, generalized over every edge: the profile's
-  // per-iteration byte/object volume already sums all edges and ranks.
-  const Bytes snapshot = profile.bytes_per_iteration;
-  const std::uint64_t ops = profile.objects_per_iteration;
-  const auto iterations = std::max<std::uint32_t>(1, profile.iterations);
-  const capacity::RetentionParams& retention = params.retention;
-  const Bytes snapshot_live =
-      retention.gc ? capacity::retained_bytes(snapshot, iterations, retention)
-                   : snapshot * iterations;
-  return snapshot_live +
-         capacity::metadata_peak_bytes(params.nova, ops, iterations);
-}
-
-core::DeploymentConfig planned_config(const ServiceConfig& config,
-                                      const CachedProfile& profile,
-                                      bool flip_placement) {
+OptionChoice choose_option(const ServiceConfig& config,
+                           const CachedProfile& profile, bool flip_placement) {
+  if (profile.dag) {
+    const bool fuse = config.policy == PlacementPolicy::kDagFusion
+                          ? profile.options[kFusedOption].feasible
+                          : !profile.options[kSpreadOption].feasible;
+    return {fuse ? kFusedOption : kSpreadOption, config.fixed_config};
+  }
   core::DeploymentConfig chosen = config.fixed_config;
   if (config.policy == PlacementPolicy::kRecommenderAware) {
     chosen = config.use_rule_based ? profile.rule_based.config
@@ -94,7 +76,7 @@ core::DeploymentConfig planned_config(const ServiceConfig& config,
     // placement-flipped config and land the channel on the other one.
     chosen.placement = flipped(chosen.placement);
   }
-  return chosen;
+  return {config_index(chosen), chosen};
 }
 
 Planner::Planner(const ServiceConfig& config, std::uint32_t node_base,
@@ -120,22 +102,14 @@ bool Planner::capacity_on() const noexcept {
   return config_.capacity.enabled();
 }
 
-SimDuration Planner::estimate_runtime(const Submission& next,
-                                      const PlacementCandidate& c) const {
-  if (next.dag != nullptr) {
-    const CachedDagProfile* profile = c.dag_profile.get();
-    // An unplaceable DAG still gets a step — the commit stage drops it
-    // — and costs no node time.
-    if (profile == nullptr || !profile->placeable()) return 0;
-    const bool fuse = config_.policy == PlacementPolicy::kDagFusion
-                          ? profile->fused_feasible
-                          : !profile->spread_feasible;
-    return fuse ? profile->fused_runtime_ns : profile->spread_runtime_ns;
-  }
-  if (c.profile == nullptr) return 0;  // capacity untracked fallback
-  const core::DeploymentConfig chosen =
-      planned_config(config_, *c.profile, c.flip_placement);
-  const SimDuration runtime = c.profile->runtime_ns[config_index(chosen)];
+SimDuration Planner::estimate_runtime(const PlacementCandidate& c) const {
+  // The capacity untracked fallback has no profile; an unplaceable DAG
+  // still gets a step — the commit stage drops it. Neither costs node
+  // time.
+  if (c.profile == nullptr || !c.profile->placeable()) return 0;
+  const OptionChoice choice =
+      choose_option(config_, *c.profile, c.flip_placement);
+  const SimDuration runtime = c.profile->options[choice.index].runtime_ns;
   return c.packs ? interference_scaled(runtime, c.factor) : runtime;
 }
 
@@ -153,29 +127,11 @@ Expected<std::vector<PlacementCandidate>> Planner::enumerate(
     return first_fit ? 0 : static_cast<std::uint64_t>(fleet.node(i).busy_ns);
   };
 
-  if (next.dag != nullptr) {
-    // A DAG's stages span both sockets regardless of plan, so only a
-    // fully-idle node will do; kFirstFit keeps its index preference and
-    // every other policy (kDagFusion included) places least-loaded. At
-    // window 1 only the winner's DAG profile is resolved (finalize),
-    // matching the legacy single lookup.
-    for (std::uint32_t i : idle) {
-      PlacementCandidate c;
-      c.ref = SlotRef{i, 0};
-      c.load = solo_load(i);
-      if (lookahead) {
-        auto profile = resolver.resolve_dag_profile(next, i);
-        if (!profile.has_value()) return Unexpected{profile.error()};
-        c.dag_profile = profile->profile;
-        c.cache_hit = profile->cache_hit;
-        c.estimate_ns = estimate_runtime(next, c);
-      }
-      out.push_back(std::move(c));
-    }
-    return out;
-  }
-
-  if (config_.policy == PlacementPolicy::kColocationAware) {
+  // A DAG's stages span both sockets regardless of plan, so only a
+  // fully-idle node will do: every policy places it by the plain solo
+  // loop at the bottom.
+  const bool is_dag = next.dag != nullptr;
+  if (!is_dag && config_.policy == PlacementPolicy::kColocationAware) {
     // The candidate's class profile is needed before commit: pair
     // compatibility and the interference charge depend on it. On a
     // homogeneous fleet it is node-independent and resolved once up
@@ -207,7 +163,7 @@ Expected<std::vector<PlacementCandidate>> Planner::enumerate(
           c.profile = profile->profile;
           c.cache_hit = profile->cache_hit;
         }
-        c.estimate_ns = estimate_runtime(next, c);
+        c.estimate_ns = estimate_runtime(c);
       }
       out.push_back(std::move(c));
     }
@@ -261,13 +217,14 @@ Expected<std::vector<PlacementCandidate>> Planner::enumerate(
       c.cache_hit = joiner_hit;
       c.tier = 1;
       c.cost = pair->slowdown_a + pair->slowdown_b;
-      if (lookahead) c.estimate_ns = estimate_runtime(next, c);
+      if (lookahead) c.estimate_ns = estimate_runtime(c);
       out.push_back(std::move(c));
     }
     return out;
   }
 
-  if (config_.policy == PlacementPolicy::kCapacityAware && capacity_on()) {
+  if (!is_dag && config_.policy == PlacementPolicy::kCapacityAware &&
+      capacity_on()) {
     // Rank fully-idle nodes by fit tier, then least busy time:
     //   0 — lease fits the preferred socket outright;
     //   1 — fits the node's other socket (spill: run placement-flipped);
@@ -280,7 +237,7 @@ Expected<std::vector<PlacementCandidate>> Planner::enumerate(
       auto profile = resolver.resolve_profile(next, i);
       if (!profile.has_value()) return Unexpected{profile.error()};
       const Bytes lease =
-          lease_for(config_.capacity, *profile->profile, next.spec);
+          lease_for(config_.capacity, *profile->profile);
       std::uint64_t tier = 0;
       bool flip = false;
       if (residency.fits(i, preferred, lease)) {
@@ -304,7 +261,7 @@ Expected<std::vector<PlacementCandidate>> Planner::enumerate(
       c.lease_bytes = lease;
       c.tier = tier;
       c.load = static_cast<std::uint64_t>(fleet.node(i).busy_ns);
-      if (lookahead) c.estimate_ns = estimate_runtime(next, c);
+      if (lookahead) c.estimate_ns = estimate_runtime(c);
       out.push_back(std::move(c));
     }
     if (!out.empty()) return out;
@@ -328,7 +285,7 @@ Expected<std::vector<PlacementCandidate>> Planner::enumerate(
     return out;
   }
 
-  if (config_.policy == PlacementPolicy::kRecommenderAware &&
+  if (!is_dag && config_.policy == PlacementPolicy::kRecommenderAware &&
       heterogeneous()) {
     // Backend-aware routing: among fully-idle nodes, place the class on
     // the backend where its recommended configuration runs fastest —
@@ -338,11 +295,10 @@ Expected<std::vector<PlacementCandidate>> Planner::enumerate(
     for (std::uint32_t i : idle) {
       auto profile = resolver.resolve_profile(next, i);
       if (!profile.has_value()) return Unexpected{profile.error()};
-      const core::DeploymentConfig chosen =
-          config_.use_rule_based ? profile->profile->rule_based.config
-                                 : profile->profile->model_based.config;
+      const OptionChoice choice =
+          choose_option(config_, *profile->profile, /*flip_placement=*/false);
       const SimDuration runtime =
-          profile->profile->runtime_ns[config_index(chosen)];
+          profile->profile->options[choice.index].runtime_ns;
       PlacementCandidate c;
       c.ref = SlotRef{i, 0};
       c.load = static_cast<std::uint64_t>(runtime);
@@ -359,10 +315,12 @@ Expected<std::vector<PlacementCandidate>> Planner::enumerate(
     return out;
   }
 
-  // Plain solo placement: kFirstFit, kLeastLoaded, homogeneous
-  // kRecommenderAware, kDagFusion's pair submissions, and
-  // kCapacityAware without the capacity model. No profile is needed to
-  // decide, so none is resolved at window 1 (the commit stage does it).
+  // Plain solo placement: every DAG, and pairs under kFirstFit,
+  // kLeastLoaded, homogeneous kRecommenderAware, kDagFusion, and
+  // kCapacityAware without the capacity model. kFirstFit keeps its
+  // index preference, every other policy places least-loaded. No
+  // profile is needed to decide, so none is resolved at window 1 (the
+  // commit stage does it).
   for (std::uint32_t i : idle) {
     PlacementCandidate c;
     c.ref = SlotRef{i, 0};
@@ -372,7 +330,7 @@ Expected<std::vector<PlacementCandidate>> Planner::enumerate(
       if (!profile.has_value()) return Unexpected{profile.error()};
       c.profile = profile->profile;
       c.cache_hit = profile->cache_hit;
-      c.estimate_ns = estimate_runtime(next, c);
+      c.estimate_ns = estimate_runtime(c);
     }
     out.push_back(std::move(c));
   }
@@ -381,13 +339,6 @@ Expected<std::vector<PlacementCandidate>> Planner::enumerate(
 
 Status Planner::finalize(PlanResolver& resolver, const Submission& next,
                          PlacementCandidate& candidate) {
-  if (next.dag != nullptr) {
-    auto profile = resolver.resolve_dag_profile(next, candidate.ref.node);
-    if (!profile.has_value()) return Unexpected{profile.error()};
-    candidate.dag_profile = profile->profile;
-    candidate.cache_hit = profile->cache_hit;
-    return ok_status();
-  }
   if (config_.policy == PlacementPolicy::kColocationAware && heterogeneous() &&
       !candidate.packs) {
     // The winning solo node's backend decides the profile (the pack
@@ -425,7 +376,7 @@ Expected<Plan> Planner::plan(PlanResolver& resolver, const Fleet& fleet,
   auto planned = plan_window(resolver, fleet, window, now);
   if (!planned.has_value()) return planned;
   stats_.planned_steps += planned->steps.size();
-  if (use_cache) memoize(digest, std::move(key), *planned);
+  if (use_cache) memoize(digest, std::move(key), *planned, window);
   return planned;
 }
 
@@ -525,13 +476,6 @@ Expected<Plan> Planner::replay(PlanResolver& resolver, const Fleet& fleet,
     c.ref = step.ref;
     c.flip_placement = step.flip_placement;
     switch (step.kind) {
-      case StepKind::kDag: {
-        auto profile = resolver.resolve_dag_profile(next, step.ref.node);
-        if (!profile.has_value()) return Unexpected{profile.error()};
-        c.dag_profile = profile->profile;
-        c.cache_hit = profile->cache_hit;
-        break;
-      }
       case StepKind::kPack: {
         auto joiner = resolver.resolve_profile(next, step.ref.node);
         if (!joiner.has_value()) return Unexpected{joiner.error()};
@@ -567,15 +511,14 @@ Expected<Plan> Planner::replay(PlanResolver& resolver, const Fleet& fleet,
         if (!profile.has_value()) return Unexpected{profile.error()};
         c.profile = profile->profile;
         c.cache_hit = profile->cache_hit;
-        c.lease_bytes =
-            lease_for(config_.capacity, *profile->profile, next.spec);
+        c.lease_bytes = lease_for(config_.capacity, *profile->profile);
         break;
       }
       case StepKind::kCapacityFallback:
       case StepKind::kSolo:
-        // Bare placement: the commit stage resolves the profile (and,
-        // for the fallback, sizes the lease), exactly like a fresh
-        // window-1 plan.
+        // Bare placement, a DAG's included: the commit stage resolves
+        // the profile (and, for the fallback, sizes the lease), exactly
+        // like a fresh window-1 plan.
         break;
     }
     plan.steps.push_back(PlannedStep{next.id, step.entry, std::move(c)});
@@ -584,7 +527,8 @@ Expected<Plan> Planner::replay(PlanResolver& resolver, const Fleet& fleet,
 }
 
 void Planner::memoize(std::uint64_t digest, std::vector<std::uint64_t> key,
-                      const Plan& plan) {
+                      const Plan& plan,
+                      std::span<const Submission* const> window) {
   // Bounded memo with a deterministic wholesale clear, the same shape
   // as the rate allocator's solve cache: eviction order must not depend
   // on anything but the insertion sequence.
@@ -600,12 +544,10 @@ void Planner::memoize(std::uint64_t digest, std::vector<std::uint64_t> key,
     compact.entry = step.entry;
     compact.ref = step.candidate.ref;
     compact.flip_placement = step.candidate.flip_placement;
-    if (step.candidate.dag_profile != nullptr) {
-      compact.kind = StepKind::kDag;
-    } else if (step.candidate.packs) {
+    if (step.candidate.packs) {
       compact.kind = StepKind::kPack;
     } else if (config_.policy == PlacementPolicy::kCapacityAware &&
-               capacity_on()) {
+               capacity_on() && window[step.entry]->dag == nullptr) {
       compact.kind = step.candidate.tier == 4 ? StepKind::kCapacityFallback
                                               : StepKind::kCapacity;
     } else {

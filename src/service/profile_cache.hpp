@@ -6,92 +6,101 @@
 // slowdown metric needs. Online, the same workflow *classes* recur
 // constantly (the paper's premise: I/O indexes are reusable per-class
 // profiles, §IV-C), so the service memoizes the whole characterization
-// bundle keyed by (workflow::class_fingerprint, device fingerprint of
-// the memory backend the profile was measured on). Repeat submissions
-// of a class skip the four-config solve entirely; the cache returns the
-// exact object computed the first time, so a hit is byte-identical to a
-// fresh characterization. The device half of the key matters on
+// bundle keyed by (class fingerprint, device fingerprint of the memory
+// backend the profile was measured on). Repeat submissions of a class
+// skip the solve entirely; the cache returns the exact object computed
+// the first time, so a hit is byte-identical to a fresh
+// characterization. The device half of the key matters on
 // heterogeneous fleets: an Optane profile and a dram-like profile of
 // the same class disagree on runtimes *and* on the recommended
 // configuration, so serving one for the other would mis-place work.
 //
-// Bounded capacity with least-recently-used eviction; hit/miss/eviction
-// counters feed the service report.
+// A pair and a DAG share one profile type: a list of plan options (a
+// pair's four Table I configurations, or a DAG's spread and fused
+// plans, each measured once) plus the lease and snapshot basis. Pair
+// and DAG entries live in two LRU lists of the same bounded capacity,
+// served by one least-recently-used code path; hit/miss/eviction
+// counters of both feed the service report.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <list>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 
 #include "core/autotuner.hpp"
-#include "dag/plan.hpp"
 #include "devices/registry.hpp"
+#include "service/types.hpp"
 
 namespace pmemflow::service {
 
-/// Everything the service ever needs to know about one workflow class.
+/// One way to run a class on a node — a pair's Table I configuration
+/// or a DAG's spread or fused plan — with what the commit stage needs.
+struct PlanOption {
+  /// Measured runtime under this option (0 when infeasible).
+  SimDuration runtime_ns = 0;
+  /// False when the option does not fit the node shape (a DAG plan
+  /// whose per-socket core demand is too high).
+  bool feasible = false;
+  /// Socket the capacity lease is charged to: the pair's channel
+  /// socket, or the DAG plan's heaviest-channel socket.
+  std::uint32_t lease_socket = 0;
+  /// Edges whose producer and consumer share a socket (0 for a pair).
+  std::uint32_t ephemeral_edges = 0;
+
+  bool operator==(const PlanOption&) const = default;
+};
+
+/// Option slots of a DAG profile.
+inline constexpr std::size_t kSpreadOption = 0;
+inline constexpr std::size_t kFusedOption = 1;
+
+/// Everything the service ever needs to know about one workflow class,
+/// a pair or a DAG. An unplaceable DAG (no plan fits the node shape) is
+/// still cached, so the region can drop repeats without re-planning.
 struct CachedProfile {
-  /// Workflow-class half of the cache key (label-insensitive).
+  /// Class half of the cache key (workflow:: or dag::class_fingerprint;
+  /// label-insensitive).
   std::uint64_t fingerprint = 0;
   /// Device half of the cache key: fingerprint of the NodeDevices the
   /// profile was measured against.
   std::uint64_t device_fingerprint = 0;
+  /// True for a DAG class.
+  bool dag = false;
+  /// The options a policy picks from: a pair's four configurations in
+  /// Table I order (all feasible, runtimes from the oracle sweep), or a
+  /// DAG's spread (kSpreadOption) and fused (kFusedOption) plans with
+  /// dag::run runtimes, the other slots left infeasible.
+  std::array<PlanOption, 4> options{};
+  /// Fastest feasible option (the first on ties; 0 when none is).
+  std::size_t best_index = 0;
+  /// Lease and snapshot basis over all ranks and edges: channel bytes
+  /// and objects per iteration, and the iteration count (>= 1).
+  Bytes bytes_per_iteration = 0;
+  std::uint64_t objects_per_iteration = 0;
+  std::uint32_t iterations = 1;
+  /// Pair classes only: the §IV-C profile co-location reads and the two
+  /// recommendations the recommender-aware policy runs.
   core::WorkflowProfile profile;
   core::Recommendation rule_based;
   core::Recommendation model_based;
-  /// Simulated runtime under each Table I configuration (Table I
-  /// order), from the oracle sweep.
-  std::array<SimDuration, 4> runtime_ns{};
-  /// Index of the fastest configuration in runtime_ns.
-  std::size_t best_index = 0;
 
-  [[nodiscard]] SimDuration best_runtime_ns() const noexcept {
-    return runtime_ns[best_index];
-  }
-};
-
-/// Everything the service ever needs to know about one DAG class: the
-/// two candidate placements (spread baseline, fusion search) with their
-/// measured runtimes, plus the byte/object volume the lease sizing
-/// needs. A plan can be infeasible on this node shape (per-socket core
-/// demand too high); an unplaceable class (neither plan fits) is still
-/// cached so the region can drop repeats without re-planning.
-struct CachedDagProfile {
-  /// DAG-class half of the cache key (dag::class_fingerprint).
-  std::uint64_t fingerprint = 0;
-  /// Device half of the cache key.
-  std::uint64_t device_fingerprint = 0;
-  bool spread_feasible = false;
-  bool fused_feasible = false;
-  /// Spread baseline: alternate sockets by depth, consumer-local
-  /// channels (a 2-node chain lands exactly on the pair P-LocR shape).
-  dag::FusionPlan spread;
-  /// Fusion search result (minimum Table II edge cost).
-  dag::FusionPlan fused;
-  /// Measured dag::run runtimes under each feasible plan.
-  SimDuration spread_runtime_ns = 0;
-  SimDuration fused_runtime_ns = 0;
-  /// Channel bytes all edges materialize per iteration (lease basis).
-  Bytes bytes_per_iteration = 0;
-  /// Objects all edges move per iteration (metadata lease basis).
-  std::uint64_t objects_per_iteration = 0;
-  std::uint32_t iterations = 1;
-
-  /// True when at least one plan fits the node shape.
+  /// True when at least one option fits the node shape.
   [[nodiscard]] bool placeable() const noexcept {
-    return spread_feasible || fused_feasible;
+    return options[best_index].feasible;
   }
   /// Fastest feasible runtime (0 when unplaceable).
   [[nodiscard]] SimDuration best_runtime_ns() const noexcept {
-    if (spread_feasible && fused_feasible) {
-      return std::min(spread_runtime_ns, fused_runtime_ns);
-    }
-    return spread_feasible ? spread_runtime_ns
-                           : (fused_feasible ? fused_runtime_ns : 0);
+    return options[best_index].runtime_ns;
   }
 };
+
+/// Socket the streaming channel lands on under `config`: writer ranks
+/// live on socket 0 and reader ranks on socket 1, so local-write pins
+/// the channel to 0 and local-read to 1.
+[[nodiscard]] std::uint32_t channel_socket_of(
+    const core::DeploymentConfig& config) noexcept;
 
 struct CacheStats {
   std::uint64_t hits = 0;
@@ -112,69 +121,40 @@ class ProfileCache {
                         core::Executor executor = core::Executor(),
                         core::Recommender recommender = core::Recommender());
 
-  /// The one lookup path: the entry keyed on (`class_fp`, `device_fp`),
-  /// characterizing (and caching) on miss. `class_fp` must be
-  /// workflow::class_fingerprint(spec) and `device_fp` the fingerprint of
-  /// `backend`; the caller computes both once (the service stamps class
-  /// keys per run and device fingerprints per node). `spec` and
-  /// `backend` are read only on a miss, and `backend` may be null when
-  /// `device_fp` is default_device_fingerprint(). The shared_ptr stays
-  /// valid after eviction.
+  /// The one lookup path: the profile of `submission`'s class — its
+  /// DAG when `dag` is set, else its pair spec — keyed on (its stamped
+  /// `class_fp`, `device_fp`), characterizing (and caching) on miss.
+  /// `device_fp` must be the fingerprint of `backend`, which is read
+  /// only on a miss and may be null when `device_fp` is
+  /// default_device_fingerprint(). Errors only on an invalid spec; an
+  /// unplaceable DAG caches as !placeable(). The shared_ptr stays valid
+  /// after eviction.
   [[nodiscard]] Expected<std::shared_ptr<const CachedProfile>> lookup_keyed(
-      const workflow::WorkflowSpec& spec, std::uint64_t class_fp,
-      std::uint64_t device_fp, const devices::NodeDevices* backend);
+      const Submission& submission, std::uint64_t device_fp,
+      const devices::NodeDevices* backend);
 
-  /// Returns the class profile on the cache's default backend (the one
-  /// its Executor was built with): lookup_keyed with the digest
-  /// computed here.
+  /// Returns the pair class profile on the cache's default backend (the
+  /// one its Executor was built with), computing the class digest here.
   [[nodiscard]] Expected<std::shared_ptr<const CachedProfile>> lookup(
       const workflow::WorkflowSpec& spec);
 
-  /// Returns the class profile *as measured on `backend`*: same class,
-  /// different backend is a distinct cache entry. When `backend`
+  /// Returns the pair class profile *as measured on `backend`*: same
+  /// class, different backend is a distinct cache entry. When `backend`
   /// matches the default backend this is exactly lookup(spec).
   [[nodiscard]] Expected<std::shared_ptr<const CachedProfile>> lookup(
       const workflow::WorkflowSpec& spec,
       const devices::NodeDevices& backend);
 
-  /// Fresh characterization on the default backend that bypasses the
-  /// cache entirely (used by tests to prove hits are identical to
-  /// recomputation).
+  /// Fresh pair characterization on the default backend that bypasses
+  /// the cache entirely (tests prove hits are identical to
+  /// recomputation with it).
   [[nodiscard]] Expected<CachedProfile> characterize(
       const workflow::WorkflowSpec& spec) const;
 
-  /// Fresh characterization on an explicit backend.
-  [[nodiscard]] Expected<CachedProfile> characterize(
-      const workflow::WorkflowSpec& spec,
-      const devices::NodeDevices& backend) const;
-
-  /// The one DAG lookup path, keyed like lookup_keyed with `class_fp`
-  /// = dag::class_fingerprint(spec). Characterizes (plan + measured run
-  /// per feasible plan) on miss. DAG entries live in their own LRU of
-  /// the same capacity; hits, misses, and evictions fold into the
-  /// shared stats(). Errors only on invalid specs — an unplaceable DAG
-  /// caches as !placeable().
-  [[nodiscard]] Expected<std::shared_ptr<const CachedDagProfile>>
-  lookup_dag_keyed(const dag::DagSpec& spec, std::uint64_t class_fp,
-                   std::uint64_t device_fp,
-                   const devices::NodeDevices* backend);
-
-  /// DAG-class profile on the default backend (digest computed here).
-  [[nodiscard]] Expected<std::shared_ptr<const CachedDagProfile>> lookup_dag(
-      const dag::DagSpec& spec);
-
-  /// DAG-class profile as measured on `backend` (heterogeneous fleets).
-  [[nodiscard]] Expected<std::shared_ptr<const CachedDagProfile>> lookup_dag(
-      const dag::DagSpec& spec, const devices::NodeDevices& backend);
-
-  /// Fresh DAG characterization on the default backend, bypassing the
-  /// cache (tests prove hits are identical to recomputation with this).
-  [[nodiscard]] Expected<CachedDagProfile> characterize_dag(
+  /// Fresh DAG characterization (a plan and a measured run per feasible
+  /// plan) on the default backend, bypassing the cache.
+  [[nodiscard]] Expected<CachedProfile> characterize_dag(
       const dag::DagSpec& spec) const;
-
-  /// Fresh DAG characterization on an explicit backend.
-  [[nodiscard]] Expected<CachedDagProfile> characterize_dag(
-      const dag::DagSpec& spec, const devices::NodeDevices& backend) const;
 
   /// Device fingerprint of the default backend (what plain lookup()
   /// keys its entries under; computed once, at construction).
@@ -182,13 +162,16 @@ class ProfileCache {
     return default_device_fp_;
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  /// Entries cached in both lists.
+  [[nodiscard]] std::size_t size() const noexcept {
+    return pairs_.entries.size() + dags_.entries.size();
+  }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
 
   /// Rate-allocator counters of every characterization this cache has
   /// run: the owned executor's plus those of the short-lived
-  /// cross-backend executors.
+  /// cross-backend executors and DAG runners.
   [[nodiscard]] pmemsim::AllocatorCounters allocator_counters()
       const noexcept {
     pmemsim::AllocatorCounters total = executor_.runner().allocator_counters();
@@ -197,23 +180,29 @@ class ProfileCache {
   }
 
  private:
-  using LruList =
-      std::list<std::pair<std::uint64_t, std::shared_ptr<const CachedProfile>>>;
-  using DagLruList = std::list<
-      std::pair<std::uint64_t, std::shared_ptr<const CachedDagProfile>>>;
+  /// One bounded LRU list: front = most recently used.
+  struct Lru {
+    using List = std::list<
+        std::pair<std::uint64_t, std::shared_ptr<const CachedProfile>>>;
+    List order;
+    std::unordered_map<std::uint64_t, List::iterator> entries;
+  };
 
   /// Combined (class, device) cache key.
   [[nodiscard]] static std::uint64_t key_of(std::uint64_t class_fp,
                                             std::uint64_t device_fp);
-  /// Fresh characterization on the default executor when `device_fp`
-  /// is the default backend's, else on a temporary one over `*backend`.
+  /// The LRU code path both lists share: the entry of `spec` (a pair or
+  /// a DAG spec) in `lru`, characterized and inserted on a miss.
+  template <typename Spec>
+  [[nodiscard]] Expected<std::shared_ptr<const CachedProfile>> lookup_in(
+      Lru& lru, const Spec& spec, std::uint64_t class_fp,
+      std::uint64_t device_fp, const devices::NodeDevices* backend);
+  /// Fresh characterization on the default backend when `device_fp` is
+  /// its fingerprint, else on a temporary one over `*backend`.
   [[nodiscard]] Expected<CachedProfile> characterize_keyed(
       const workflow::WorkflowSpec& spec, std::uint64_t class_fp,
       std::uint64_t device_fp, const devices::NodeDevices* backend) const;
-  [[nodiscard]] Expected<CachedProfile> characterize_on(
-      const workflow::WorkflowSpec& spec, std::uint64_t class_fp,
-      const core::Executor& executor, std::uint64_t device_fp) const;
-  [[nodiscard]] Expected<CachedDagProfile> characterize_dag_keyed(
+  [[nodiscard]] Expected<CachedProfile> characterize_keyed(
       const dag::DagSpec& spec, std::uint64_t class_fp,
       std::uint64_t device_fp, const devices::NodeDevices* backend) const;
 
@@ -221,13 +210,12 @@ class ProfileCache {
   core::Executor executor_;
   core::Recommender recommender_;
   std::uint64_t default_device_fp_;
-  /// Counters of torn-down cross-backend executors (mutable: const
-  /// characterize() creates and destroys them).
+  /// Counters of torn-down cross-backend executors and runners
+  /// (mutable: const characterize() creates and destroys them).
   mutable pmemsim::AllocatorCounters extra_allocator_counters_;
-  LruList lru_;  // front = most recently used
-  std::unordered_map<std::uint64_t, LruList::iterator> entries_;
-  DagLruList dag_lru_;  // front = most recently used
-  std::unordered_map<std::uint64_t, DagLruList::iterator> dag_entries_;
+  /// Pair and DAG entries: `capacity_` each.
+  Lru pairs_;
+  Lru dags_;
   CacheStats stats_;
 };
 

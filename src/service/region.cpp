@@ -65,19 +65,10 @@ std::string Region::track_name(SlotRef ref) const {
 Expected<PlanResolver::Resolved> Region::resolve_profile(
     const Submission& submission, std::uint32_t node) {
   const std::uint64_t hits_before = cache_.stats().hits;
-  auto profile = cache_.lookup_keyed(submission.spec, submission.class_fp,
-                                     device_fp_of(node), backend_of(node));
+  auto profile =
+      cache_.lookup_keyed(submission, device_fp_of(node), backend_of(node));
   if (!profile.has_value()) return Unexpected{profile.error()};
-  return Resolved{*profile, cache_.stats().hits > hits_before};
-}
-
-Expected<PlanResolver::ResolvedDag> Region::resolve_dag_profile(
-    const Submission& submission, std::uint32_t node) {
-  const std::uint64_t hits_before = cache_.stats().hits;
-  auto profile = cache_.lookup_dag_keyed(*submission.dag, submission.class_fp,
-                                         device_fp_of(node), backend_of(node));
-  if (!profile.has_value()) return Unexpected{profile.error()};
-  return ResolvedDag{*profile, cache_.stats().hits > hits_before};
+  return Resolved{*std::move(profile), cache_.stats().hits > hits_before};
 }
 
 Expected<PairInterference> Region::resolve_interference(
@@ -218,13 +209,54 @@ void Region::commit_step(const PlannedStep& step, SimTime now) {
   Submission submission = queue_.take(step.id);
   const PlacementCandidate& choice = step.candidate;
 
-  if (submission.dag != nullptr) {
-    if (!choice.dag_profile->placeable()) {
-      // No socket assignment fits this DAG's per-socket core demand
-      // on any plan: the node shape, not transient load, is the
-      // blocker, so retrying cannot help. Count it dropped (the
-      // completed + dropped == submissions invariant holds) instead
-      // of asserting in the fleet's slot accounting.
+  RunningTask task;
+  SimDuration overhead = 0;    // a resume's restore and migration legs
+  const char* tag = nullptr;  // trace-span tag; a pair's is its config
+  const auto checkpointed = checkpoints_.find(submission.id);
+  const bool resumed = checkpointed != checkpoints_.end();
+  if (resumed) {
+    // A resumed task brings its own record, remaining work and lease.
+    // On a heterogeneous fleet the remaining solo work carries over
+    // unscaled even when the resume lands on a different backend: a
+    // checkpoint preserves progress, not a re-profile, and the restore /
+    // migration legs use the fleet-wide CheckpointParams rates.
+    ResumeState state = std::move(checkpointed->second);
+    checkpoints_.erase(checkpointed);
+    task = std::move(state.task);
+    SimDuration migration = 0;
+    if (choice.ref.node != state.checkpoint_node) {
+      migration =
+          transfer_time(state.snapshot_bytes, config_.checkpoint.migration_bw);
+      ++task.record.migrations;
+    }
+    overhead = transfer_time(state.snapshot_bytes,
+                             config_.checkpoint.restore_read_bw) +
+               migration;
+    task.record.restore_ns += overhead;
+    tag = migration > 0 ? "resume, migrated" : "resume";
+  } else {
+    // A fresh task runs its profile's chosen option. The planner only
+    // resolves profiles where the *placement* needed one; bare steps
+    // resolve here, at commit, exactly like the legacy dispatch did.
+    std::shared_ptr<const CachedProfile> resolved_here;
+    const CachedProfile* profile = choice.profile.get();
+    bool cache_hit = choice.cache_hit;
+    if (profile == nullptr) {
+      auto resolved = resolve_profile(submission, choice.ref.node);
+      if (!resolved.has_value()) {
+        failure_ = resolved.error();
+        return;
+      }
+      resolved_here = std::move(resolved->profile);
+      profile = resolved_here.get();
+      cache_hit = resolved->cache_hit;
+    }
+    if (!profile->placeable()) {
+      // No socket assignment fits this DAG's per-socket core demand on
+      // any plan: the node shape, not transient load, is the blocker,
+      // so retrying cannot help. Count it dropped (the completed +
+      // dropped == submissions invariant holds) instead of asserting
+      // in the fleet's slot accounting.
       ++dropped_;
       if (config_.tracer != nullptr) {
         config_.tracer->instant(
@@ -235,8 +267,37 @@ void Region::commit_step(const PlannedStep& step, SimTime now) {
       }
       return;
     }
-    start_fresh_dag(choice, std::move(submission), now);
-    return;
+    const OptionChoice picked =
+        choose_option(config_, *profile, choice.flip_placement);
+    const PlanOption& option = profile->options[picked.index];
+    task.record.id = submission.id;
+    task.record.label = submission.dag != nullptr ? submission.dag->label
+                                                  : submission.spec.label;
+    task.record.priority = submission.priority;
+    task.record.config = picked.config;
+    task.record.cache_hit = cache_hit;
+    task.record.arrival_ns = submission.arrival_ns;
+    task.record.start_ns = now;
+    task.record.best_runtime_ns = profile->best_runtime_ns();
+    task.record.dag = profile->dag;
+    task.record.ephemeral_edges = option.ephemeral_edges;
+    task.snapshot_bytes_per_iteration = profile->bytes_per_iteration;
+    task.iterations = profile->iterations;
+    task.remaining_ns = staged_runtime(
+        option.runtime_ns, profile->bytes_per_iteration, profile->iterations);
+    task.record.config_runtime_ns = task.remaining_ns;
+    if (capacity_on()) {
+      // Every policy pays for residency once the model is on; only
+      // kCapacityAware *places* with it. The lease was sized during
+      // capacity-aware ranking; blind policies size it here.
+      task.lease_bytes = choice.lease_bytes != 0
+                             ? choice.lease_bytes
+                             : lease_for(config_.capacity, *profile);
+      task.lease_socket = option.lease_socket;
+    }
+    if (profile->dag) {
+      tag = picked.index == kFusedOption ? "dag-fused" : "dag-spread";
+    }
   }
 
   if (choice.packs) {
@@ -247,20 +308,49 @@ void Region::commit_step(const PlannedStep& step, SimTime now) {
     ++fleet_.task_at(inc)->record.colocations;
     apply_interference(inc, now, choice.incumbent_factor);
     ++colocations_;
+    ++task.record.colocations;
   }
 
-  auto checkpointed = checkpoints_.find(submission.id);
-  if (checkpointed != checkpoints_.end()) {
-    ResumeState state = std::move(checkpointed->second);
-    checkpoints_.erase(checkpointed);
-    resume_checkpointed(choice, std::move(submission), std::move(state), now);
-  } else {
-    start_fresh(choice, std::move(submission), now);
+  // One tail for every start: lease, segment overhead, trace span,
+  // interference, launch.
+  task.record.node = choice.ref.node;
+  task.record.slot = choice.ref.slot;
+  if (capacity_on() && task.lease_bytes > 0) {
+    // A resume re-charges the lease released at preemption; either
+    // start may need an eviction first. The cold residue is sized once,
+    // against the first charge.
+    overhead += charge_lease(task, choice.ref.node);
+    if (!resumed) set_residue(task);
   }
+  task.segment_overhead_ns = overhead;
+  task.interference = choice.factor;
+  task.submission = std::move(submission);
+  if (config_.tracer != nullptr) {
+    const std::string span_tag =
+        tag != nullptr ? tag : task.record.config.label();
+    config_.tracer->begin(
+        track_name(choice.ref),
+        format("%s [%s]", task.record.label.c_str(), span_tag.c_str()), now);
+  }
+  const SimDuration work_wall =
+      interference_scaled(task.remaining_ns, choice.factor);
+  if (choice.packs) {
+    interference_delta_ns_ +=
+        static_cast<std::int64_t>(work_wall - task.remaining_ns);
+  }
+  const SimDuration busy_ns = overhead + work_wall;
+  const SimTime finish = now + busy_ns;
+  task.record.finish_ns = finish;  // provisional until the event fires
+  // The callback reads the finish time from the slot, not a captured
+  // value: a re-timed finish event must see the re-timed clock.
+  const SlotRef ref = choice.ref;
+  task.finish_event = events_.schedule(finish, [this, ref] { on_finish(ref); });
+  fleet_.start(ref, now, busy_ns, std::move(task));
 }
 
-SimDuration Region::charge_lease(RunningTask& task, std::uint32_t node,
-                                 std::uint32_t socket, Bytes lease) {
+SimDuration Region::charge_lease(RunningTask& task, std::uint32_t node) {
+  const std::uint32_t socket = task.lease_socket;
+  Bytes lease = task.lease_bytes;
   capacity::ResidencyTracker& residency = fleet_.residency();
   SimDuration overhead = 0;
   if (!residency.fits(node, socket, lease)) {
@@ -285,7 +375,6 @@ SimDuration Region::charge_lease(RunningTask& task, std::uint32_t node,
                         "capacity lease must fit after eviction/clamp");
   }
   task.lease_bytes = lease;
-  task.lease_socket = socket;
   return overhead;
 }
 
@@ -340,204 +429,6 @@ void Region::apply_interference(SlotRef ref, SimTime now, double factor) {
   task->finish_event = events_.reschedule(task->finish_event, new_finish);
   PMEMFLOW_ASSERT_MSG(task->finish_event.valid(),
                       "re-timed a task whose finish event already fired");
-}
-
-void Region::start_fresh(const PlacementCandidate& choice,
-                         Submission submission, SimTime now) {
-  std::shared_ptr<const CachedProfile> profile = choice.profile;
-  bool cache_hit = choice.cache_hit;
-  if (profile == nullptr) {
-    // The planner only resolves profiles where the *placement* needed
-    // one; bare steps resolve here, at commit, exactly like the legacy
-    // dispatch did.
-    auto resolved = resolve_profile(submission, choice.ref.node);
-    if (!resolved.has_value()) {
-      failure_ = resolved.error();
-      return;
-    }
-    profile = resolved->profile;
-    cache_hit = resolved->cache_hit;
-  }
-
-  const core::DeploymentConfig chosen =
-      planned_config(config_, *profile, choice.flip_placement);
-  SimDuration runtime = profile->runtime_ns[config_index(chosen)];
-
-  // Snapshot basis: the channel materializes every rank's part each
-  // iteration; the profile's bytes_per_iteration is one rank's share.
-  const Bytes snapshot =
-      profile->profile.simulation.bytes_per_iteration * submission.spec.ranks;
-  const auto iterations =
-      std::max<std::uint32_t>(1, submission.spec.iterations);
-  runtime = staged_runtime(runtime, snapshot, iterations);
-
-  RunningTask task;
-  task.record.id = submission.id;
-  task.record.label = submission.spec.label;
-  task.record.priority = submission.priority;
-  task.record.node = choice.ref.node;
-  task.record.slot = choice.ref.slot;
-  task.record.config = chosen;
-  task.record.cache_hit = cache_hit;
-  task.record.arrival_ns = submission.arrival_ns;
-  task.record.start_ns = now;
-  task.record.best_runtime_ns = profile->best_runtime_ns();
-  task.record.config_runtime_ns = runtime;
-  task.remaining_ns = runtime;
-  task.interference = choice.factor;
-  if (choice.packs) ++task.record.colocations;
-  task.snapshot_bytes_per_iteration = snapshot;
-  task.iterations = iterations;
-
-  SimDuration capacity_overhead = 0;
-  if (capacity_on()) {
-    // Every policy pays for residency once the model is on; only
-    // kCapacityAware *places* with it. The lease was sized during
-    // capacity-aware ranking; blind policies size it here.
-    const std::uint32_t socket = channel_socket_of(chosen);
-    const Bytes lease =
-        choice.lease_bytes != 0
-            ? choice.lease_bytes
-            : lease_for(config_.capacity, *profile, submission.spec);
-    capacity_overhead = charge_lease(task, choice.ref.node, socket, lease);
-    set_residue(task);
-  }
-  task.segment_overhead_ns = capacity_overhead;
-  task.submission = std::move(submission);
-
-  if (config_.tracer != nullptr) {
-    config_.tracer->begin(track_name(choice.ref),
-                          format("%s [%s]", task.record.label.c_str(),
-                                 chosen.label().c_str()),
-                          now);
-  }
-  const SimDuration work_wall = interference_scaled(runtime, choice.factor);
-  if (choice.packs) {
-    interference_delta_ns_ += static_cast<std::int64_t>(work_wall - runtime);
-  }
-  launch(choice.ref, capacity_overhead + work_wall, std::move(task), now);
-}
-
-void Region::start_fresh_dag(const PlacementCandidate& choice,
-                             Submission submission, SimTime now) {
-  const std::shared_ptr<const CachedDagProfile>& profile = choice.dag_profile;
-  // Plan selection: kDagFusion runs the fusion-search placement, every
-  // other policy the spread baseline; either falls back to the other
-  // when its own plan does not fit this node shape (placeable() was
-  // checked before the pop).
-  const bool fuse = config_.policy == PlacementPolicy::kDagFusion
-                        ? profile->fused_feasible
-                        : !profile->spread_feasible;
-  const dag::FusionPlan& plan = fuse ? profile->fused : profile->spread;
-  SimDuration runtime =
-      fuse ? profile->fused_runtime_ns : profile->spread_runtime_ns;
-
-  const Bytes snapshot = profile->bytes_per_iteration;
-  const auto iterations = std::max<std::uint32_t>(1, profile->iterations);
-  // Over the summed per-edge snapshot volume.
-  runtime = staged_runtime(runtime, snapshot, iterations);
-
-  RunningTask task;
-  task.record.id = submission.id;
-  task.record.label = submission.dag->label;
-  task.record.priority = submission.priority;
-  task.record.node = choice.ref.node;
-  task.record.slot = choice.ref.slot;
-  // A chain's spread placement is exactly the P-LocR pair deployment;
-  // the record keeps the fleet's fixed config as the closest Table I
-  // description (dag/ephemeral_edges carry the real placement).
-  task.record.config = config_.fixed_config;
-  task.record.cache_hit = choice.cache_hit;
-  task.record.arrival_ns = submission.arrival_ns;
-  task.record.start_ns = now;
-  task.record.best_runtime_ns = profile->best_runtime_ns();
-  task.record.config_runtime_ns = runtime;
-  task.record.dag = true;
-  task.record.ephemeral_edges =
-      static_cast<std::uint32_t>(plan.ephemeral_edges);
-  task.remaining_ns = runtime;
-  task.snapshot_bytes_per_iteration = snapshot;
-  task.iterations = iterations;
-
-  SimDuration capacity_overhead = 0;
-  if (capacity_on()) {
-    // The lease lands on the plan's heaviest-channel socket.
-    const Bytes lease = lease_for_dag(config_.capacity, *profile);
-    capacity_overhead =
-        charge_lease(task, choice.ref.node, plan.lease_socket, lease);
-    set_residue(task);
-  }
-  task.segment_overhead_ns = capacity_overhead;
-  task.submission = std::move(submission);
-
-  if (config_.tracer != nullptr) {
-    config_.tracer->begin(track_name(choice.ref),
-                          format("%s [%s]", task.record.label.c_str(),
-                                 fuse ? "dag-fused" : "dag-spread"),
-                          now);
-  }
-  launch(choice.ref, capacity_overhead + runtime, std::move(task), now);
-}
-
-void Region::resume_checkpointed(const PlacementCandidate& choice,
-                                 Submission submission, ResumeState state,
-                                 SimTime now) {
-  // On a heterogeneous fleet the remaining solo work carries over
-  // unscaled even when the resume lands on a different backend: a
-  // checkpoint preserves progress, not a re-profile, and the restore /
-  // migration legs use the fleet-wide CheckpointParams rates.
-  RunningTask task = std::move(state.task);
-  const SimDuration restore =
-      transfer_time(state.snapshot_bytes, config_.checkpoint.restore_read_bw);
-  SimDuration migration = 0;
-  if (choice.ref.node != state.checkpoint_node) {
-    migration =
-        transfer_time(state.snapshot_bytes, config_.checkpoint.migration_bw);
-    ++task.record.migrations;
-  }
-  const SimDuration overhead = restore + migration;
-  task.record.restore_ns += overhead;
-  task.record.node = choice.ref.node;
-  task.record.slot = choice.ref.slot;
-  // Re-charge the lease released at preemption (its size survived in
-  // lease_bytes); the resume node may need an eviction first.
-  SimDuration capacity_overhead = 0;
-  if (capacity_on() && task.lease_bytes > 0) {
-    capacity_overhead =
-        charge_lease(task, choice.ref.node,
-                     channel_socket_of(task.record.config), task.lease_bytes);
-  }
-  task.segment_overhead_ns = overhead + capacity_overhead;
-  task.interference = choice.factor;
-  if (choice.packs) ++task.record.colocations;
-  task.submission = std::move(submission);
-
-  if (config_.tracer != nullptr) {
-    config_.tracer->begin(
-        track_name(choice.ref),
-        format("%s [resume%s]", task.record.label.c_str(),
-               migration > 0 ? ", migrated" : ""),
-        now);
-  }
-  const SimDuration work_wall =
-      interference_scaled(task.remaining_ns, choice.factor);
-  if (choice.packs) {
-    interference_delta_ns_ +=
-        static_cast<std::int64_t>(work_wall - task.remaining_ns);
-  }
-  launch(choice.ref, overhead + capacity_overhead + work_wall,
-         std::move(task), now);
-}
-
-void Region::launch(SlotRef ref, SimDuration busy_ns, RunningTask task,
-                    SimTime now) {
-  const SimTime finish = now + busy_ns;
-  task.record.finish_ns = finish;  // provisional until the event fires
-  // The callback reads the finish time from the slot, not a captured
-  // value: a re-timed finish event must see the re-timed clock.
-  task.finish_event =
-      events_.schedule(finish, [this, ref] { on_finish(ref); });
-  fleet_.start(ref, now, busy_ns, std::move(task));
 }
 
 void Region::on_finish(SlotRef ref) {

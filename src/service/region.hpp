@@ -119,13 +119,11 @@ class Region : public PlanResolver {
 
   // -- PlanResolver (the planner's view of this region's caches) --
 
-  /// Profile lookup against the backend of region-local `node` (the
-  /// cache's default backend on a homogeneous fleet). `cache_hit` is
-  /// the profile cache's hit-counter delta around the lookup.
+  /// Profile lookup (a pair's or a DAG's) against the backend of
+  /// region-local `node` (the cache's default backend on a homogeneous
+  /// fleet). `cache_hit` is the profile cache's hit-counter delta
+  /// around the lookup.
   [[nodiscard]] Expected<Resolved> resolve_profile(
-      const Submission& submission, std::uint32_t node) override;
-  /// DAG profile lookup against the backend of region-local `node`.
-  [[nodiscard]] Expected<ResolvedDag> resolve_dag_profile(
       const Submission& submission, std::uint32_t node) override;
   /// Interference lookup measured on the backend of region-local
   /// `node`.
@@ -177,12 +175,15 @@ class Region : public PlanResolver {
   /// commit stage — the only code that starts work, charges leases, or
   /// preempts.
   void dispatch(SimTime now);
-  /// Commits one planned step: pops the submission by id, charges the
-  /// incumbent when packing, and starts fresh / resumes a checkpoint /
-  /// drops an unplaceable DAG.
+  /// The one start path: pops the submission by id, builds its task —
+  /// a checkpointed victim's own, or a fresh one from its profile's
+  /// chosen option (dropping an unplaceable DAG) — charges the
+  /// incumbent when packing, then charges the lease, opens the trace
+  /// span and launches.
   void commit_step(const PlannedStep& step, SimTime now);
-  SimDuration charge_lease(RunningTask& task, std::uint32_t node,
-                           std::uint32_t socket, Bytes lease);
+  /// Acquires the task's lease_bytes on (`node`, its lease_socket),
+  /// evicting cold residue or clamping first; returns the overhead.
+  SimDuration charge_lease(RunningTask& task, std::uint32_t node);
   /// `runtime` less the DRAM-staging discount when an iteration's
   /// `snapshot` fits the stage (counting the stage hits); else as is.
   SimDuration staged_runtime(SimDuration runtime, Bytes snapshot,
@@ -193,14 +194,6 @@ class Region : public PlanResolver {
   void apply_interference(SlotRef ref, SimTime now, double factor);
   bool victim_frees_usable_slot(SlotRef victim, SimTime now);
   void maybe_preempt(SimTime now);
-  void start_fresh(const PlacementCandidate& choice, Submission submission,
-                   SimTime now);
-  void start_fresh_dag(const PlacementCandidate& choice,
-                       Submission submission, SimTime now);
-  void resume_checkpointed(const PlacementCandidate& choice,
-                           Submission submission, ResumeState state,
-                           SimTime now);
-  void launch(SlotRef ref, SimDuration busy_ns, RunningTask task, SimTime now);
   void on_finish(SlotRef ref);
 
   const ServiceConfig& config_;

@@ -40,7 +40,7 @@ struct Submission {
   workflow::WorkflowSpec spec;
   /// General DAG workflow (src/dag). Null for the classic pair case;
   /// when set, `spec` is ignored and the submission is characterized,
-  /// placed, and priced through the DAG profile path (plan_spread /
+  /// placed, and priced by its spread and fused plans (plan_spread /
   /// plan_fusion). Shared so retries, checkpoints, and sharded-region
   /// migrations carry the spec without copying it.
   std::shared_ptr<const dag::DagSpec> dag;

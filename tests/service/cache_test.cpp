@@ -51,7 +51,7 @@ TEST(ProfileCache, HitIsIdenticalToFreshCharacterization) {
   ASSERT_TRUE(fresh.has_value());
   expect_identical_recommendation((*second)->rule_based, fresh->rule_based);
   expect_identical_recommendation((*second)->model_based, fresh->model_based);
-  EXPECT_EQ((*second)->runtime_ns, fresh->runtime_ns);
+  EXPECT_EQ((*second)->options, fresh->options);
   EXPECT_EQ((*second)->best_index, fresh->best_index);
   EXPECT_EQ((*second)->profile.simulation.iteration_ns,
             fresh->profile.simulation.iteration_ns);
@@ -114,11 +114,12 @@ TEST(ProfileCache, RuntimesComeFromTheOracleSweep) {
   auto entry = cache.lookup(small_spec(kMiB, 5e4));
   ASSERT_TRUE(entry.has_value());
   const auto& cached = **entry;
-  for (SimDuration runtime : cached.runtime_ns) {
-    EXPECT_GT(runtime, 0u);
-    EXPECT_GE(runtime, cached.best_runtime_ns());
+  for (const PlanOption& option : cached.options) {
+    EXPECT_GT(option.runtime_ns, 0u);
+    EXPECT_GE(option.runtime_ns, cached.best_runtime_ns());
   }
-  EXPECT_EQ(cached.runtime_ns[cached.best_index], cached.best_runtime_ns());
+  EXPECT_EQ(cached.options[cached.best_index].runtime_ns,
+            cached.best_runtime_ns());
 }
 
 TEST(ProfileCache, ErrorsAreNotCached) {

@@ -103,7 +103,7 @@ TEST(Preemption, CheckpointCostArithmeticMatchesHandComputed) {
   auto profile = scheduler.cache().characterize(spec);
   ASSERT_TRUE(profile.has_value());
   const SimDuration runtime =
-      profile->runtime_ns[config_index(config.fixed_config)];
+      profile->options[config_index(config.fixed_config)].runtime_ns;
   ASSERT_GT(runtime, 0u);
 
   // Batch occupies the lone node; an urgent lands mid-run.
@@ -163,7 +163,7 @@ TEST(Preemption, MigrationRestoresRemainingRuntimeExactly) {
   auto profile = scheduler.cache().characterize(spec);
   ASSERT_TRUE(profile.has_value());
   const SimDuration runtime =
-      profile->runtime_ns[config_index(config.fixed_config)];
+      profile->options[config_index(config.fixed_config)].runtime_ns;
 
   // A and B fill both nodes; the urgent preempts A off node 0 (equal
   // checkpoint cost, lowest index). Node 1 frees first (B started
