@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "devices/registry.hpp"
 #include "service/arrivals.hpp"
 #include "workloads/analytics.hpp"
@@ -113,46 +118,67 @@ void expect_same_component(const ComponentProfile& a,
   EXPECT_EQ(a.bytes_per_iteration, b.bytes_per_iteration);
 }
 
-TEST(Characterizer, SweepDerivedProfileMatchesStandaloneRuns) {
+/// One memory backend and one I/O stack: a case of its own, so ctest -j
+/// spreads the sweep-vs-standalone replays across workers.
+struct BackendStack {
+  const char* backend;
+  workflow::WorkflowSpec::Stack stack;
+};
+
+/// Names the case in test listings: ctest's test name ends in it.
+void PrintTo(const BackendStack& param, std::ostream* out) {
+  std::string name =
+      std::string(param.backend) + "_" + to_string(param.stack);
+  std::replace(name.begin(), name.end(), '-', '_');
+  *out << name;
+}
+
+class SweepDerivedProfile : public ::testing::TestWithParam<BackendStack> {};
+
+TEST_P(SweepDerivedProfile, MatchesStandaloneRuns) {
   // profile() replays S-LocW and S-LocR itself; from_sweep reads them
   // off a four-config sweep. Exact doubles and features, on every class
   // the paper suite and the service pool hold, per backend and stack.
+  const auto [backend, stack] = GetParam();
   std::vector<workflow::WorkflowSpec> specs = workloads::full_suite();
   for (workflow::WorkflowSpec& spec :
        service::make_class_pool(24, service::ArrivalParams{}.seed)) {
     specs.push_back(std::move(spec));
   }
-  for (const char* backend : {"optane-gen1", "dram-like"}) {
-    auto devices = devices::parse_backend(backend);
-    ASSERT_TRUE(devices.has_value());
-    const Executor executor{workflow::Runner({}, *devices)};
-    const Characterizer characterizer{executor};
-    for (const auto stack : {workflow::WorkflowSpec::Stack::kNvStream,
-                             workflow::WorkflowSpec::Stack::kNova}) {
-      for (workflow::WorkflowSpec spec : specs) {
-        spec.stack = stack;
-        SCOPED_TRACE(std::string(backend) + " " + to_string(stack) + " " +
-                     spec.label);
-        auto standalone = characterizer.profile(spec);
-        auto sweep = executor.sweep(spec);
-        ASSERT_TRUE(standalone.has_value() && sweep.has_value());
-        const WorkflowProfile derived = Characterizer::from_sweep(
-            spec, *sweep, executor.runner().devices());
-        EXPECT_EQ(standalone->ranks, derived.ranks);
-        expect_same_component(standalone->simulation, derived.simulation);
-        expect_same_component(standalone->analytics, derived.analytics);
-        const WorkflowFeatures& a = standalone->features;
-        const WorkflowFeatures& b = derived.features;
-        EXPECT_EQ(a.sim_compute, b.sim_compute);
-        EXPECT_EQ(a.sim_write, b.sim_write);
-        EXPECT_EQ(a.analytics_compute, b.analytics_compute);
-        EXPECT_EQ(a.analytics_read, b.analytics_read);
-        EXPECT_EQ(a.small_objects, b.small_objects);
-        EXPECT_EQ(a.concurrency, b.concurrency);
-      }
-    }
+  auto devices = devices::parse_backend(backend);
+  ASSERT_TRUE(devices.has_value());
+  const Executor executor{workflow::Runner({}, *devices)};
+  const Characterizer characterizer{executor};
+  for (workflow::WorkflowSpec spec : specs) {
+    spec.stack = stack;
+    SCOPED_TRACE(std::string(backend) + " " + to_string(stack) + " " +
+                 spec.label);
+    auto standalone = characterizer.profile(spec);
+    auto sweep = executor.sweep(spec);
+    ASSERT_TRUE(standalone.has_value() && sweep.has_value());
+    const WorkflowProfile derived = Characterizer::from_sweep(
+        spec, *sweep, executor.runner().devices());
+    EXPECT_EQ(standalone->ranks, derived.ranks);
+    expect_same_component(standalone->simulation, derived.simulation);
+    expect_same_component(standalone->analytics, derived.analytics);
+    const WorkflowFeatures& a = standalone->features;
+    const WorkflowFeatures& b = derived.features;
+    EXPECT_EQ(a.sim_compute, b.sim_compute);
+    EXPECT_EQ(a.sim_write, b.sim_write);
+    EXPECT_EQ(a.analytics_compute, b.analytics_compute);
+    EXPECT_EQ(a.analytics_read, b.analytics_read);
+    EXPECT_EQ(a.small_objects, b.small_objects);
+    EXPECT_EQ(a.concurrency, b.concurrency);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Characterizer, SweepDerivedProfile,
+    ::testing::Values(
+        BackendStack{"optane-gen1", workflow::WorkflowSpec::Stack::kNvStream},
+        BackendStack{"optane-gen1", workflow::WorkflowSpec::Stack::kNova},
+        BackendStack{"dram-like", workflow::WorkflowSpec::Stack::kNvStream},
+        BackendStack{"dram-like", workflow::WorkflowSpec::Stack::kNova}));
 
 TEST(Characterizer, LevelNames) {
   EXPECT_STREQ(to_string(Level::kNil), "Nil");
