@@ -13,8 +13,8 @@
 //   capacity    bounded PMEM pools are strictly opt-in, and
 //               capacity-aware placement + version GC meets the SLO
 //               that small DIMMs break for capacity-blind placement;
-//   dag         DAG fusion beats least-loaded, a pair schedules as a
-//               2-node DAG, and sharded replay ignores thread count;
+//   dag         DAG fusion beats least-loaded, and a pair schedules as
+//               a 2-node DAG;
 //   planner     lookahead planning beats greedy, and the plan cache
 //               replays steady state without changing the schedule;
 //   trace       traces round-trip exactly, replay deterministically
@@ -671,30 +671,6 @@ void dag_gates(bool smoke, Report& report) {
                        1e9)
           : pair_diff);
 
-  // The DAG-bearing stream replays identically with 1, 2 and 4 worker
-  // threads over 4 epoch-synchronized regions.
-  config.sharding.regions = 4;
-  std::vector<Records> runs;
-  for (const std::uint32_t threads : {1u, 2u, 4u}) {
-    config.sharding.threads = threads;
-    runs.push_back(run_arm(report, format("dag-fusion, threads=%u", threads),
-                           config, mixed)
-                       .completions);
-  }
-  std::string sharded_diff;
-  for (std::size_t r = 1; sharded_diff.empty() && r < runs.size(); ++r) {
-    sharded_diff = first_difference(runs[0], runs[r], record_difference);
-    if (!sharded_diff.empty()) {
-      sharded_diff = format("%u threads: %s", r == 1 ? 2u : 4u,
-                            sharded_diff.c_str());
-    }
-  }
-  report.gate("sharded-replay-identical", sharded_diff.empty(),
-              sharded_diff.empty()
-                  ? format("%zu completions identical across 1/2/4 threads",
-                           runs[0].size())
-                  : sharded_diff);
-
   report.json = {
       {"submissions", static_cast<double>(mixed.size())},
       {"dag_completed", static_cast<double>(fused.dag_completed)},
@@ -704,8 +680,7 @@ void dag_gates(bool smoke, Report& report) {
       {"fusion_speedup", fusion_makespan_s > 0.0
                              ? baseline_makespan_s / fusion_makespan_s
                              : 0.0},
-      {"pair_dag_identical", pair_diff.empty() ? 1.0 : 0.0},
-      {"sharded_identical", sharded_diff.empty() ? 1.0 : 0.0}};
+      {"pair_dag_identical", pair_diff.empty() ? 1.0 : 0.0}};
 }
 
 // --- planner ----------------------------------------------------------

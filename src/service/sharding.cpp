@@ -1,8 +1,6 @@
 #include "service/sharding.hpp"
 
 #include <algorithm>
-#include <barrier>
-#include <thread>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -42,10 +40,9 @@ std::uint32_t region_node_base(std::uint32_t nodes, std::uint32_t regions,
 }
 
 EpochRunStats run_epochs(std::span<const std::unique_ptr<Region>> regions,
-                         SimDuration epoch_ns, std::uint32_t threads) {
+                         SimDuration epoch_ns) {
   EpochRunStats stats;
   const std::size_t count = regions.size();
-  if (count == 0) return stats;
   epoch_ns = std::max<SimDuration>(1, epoch_ns);
 
   // Boundary strictly after the earliest pending event: every epoch
@@ -62,25 +59,16 @@ EpochRunStats run_epochs(std::span<const std::unique_ptr<Region>> regions,
     return epoch_ns * (*min_next / epoch_ns + 1);
   };
 
-  const auto first = next_boundary();
-  if (!first.has_value()) return stats;  // nothing seeded
+  for (auto boundary = next_boundary(); boundary.has_value();) {
+    for (const auto& region : regions) region->advance_until(*boundary);
 
-  // Everything below the barrier completion writes is published to the
-  // workers by std::barrier's phase synchronization: the completion
-  // runs exclusively after every worker arrives, and every worker's
-  // wait returns after it finishes — no other synchronization needed.
-  SimTime boundary = *first;
-  bool done = false;
-
-  // The completion step runs single-threaded between epochs: detect
-  // failures, migrate stuck queue heads, pick the next boundary.
-  auto on_barrier = [&]() noexcept {
+    // The barrier step: detect failures, migrate stuck queue heads,
+    // pick the next boundary.
     ++stats.epochs;
     for (const auto& region : regions) {
       if (region->failure().has_value()) {
         stats.failure = region->failure();
-        done = true;
-        return;
+        return stats;
       }
     }
     // Deterministic work stealing, donors and targets both in
@@ -95,49 +83,21 @@ EpochRunStats run_epochs(std::span<const std::unique_ptr<Region>> regions,
     // keyed on the donor's fleet state.
     std::vector<bool> used(count, false);
     for (std::size_t donor = 0; donor < count; ++donor) {
-      if (!regions[donor]->has_stealable_head(boundary)) continue;
+      if (!regions[donor]->has_stealable_head(*boundary)) continue;
       for (std::size_t target = 0; target < count; ++target) {
         if (target == donor || used[target]) continue;
-        if (!regions[target]->can_accept(boundary)) continue;
-        regions[target]->inject(regions[donor]->steal_head(), boundary);
+        if (!regions[target]->can_accept(*boundary)) continue;
+        regions[target]->inject(regions[donor]->steal_head(), *boundary);
         used[target] = true;
         ++stats.shard_migrations;
         break;
       }
     }
     const auto next = next_boundary();
-    if (!next.has_value()) {
-      done = true;
-      return;
-    }
-    PMEMFLOW_ASSERT_MSG(*next > boundary, "epoch boundary must advance");
-    boundary = *next;
-  };
-
-  const std::uint32_t workers = std::clamp<std::uint32_t>(
-      threads == 0 ? static_cast<std::uint32_t>(count) : threads, 1,
-      static_cast<std::uint32_t>(count));
-  std::barrier sync(workers, on_barrier);
-
-  // Worker w owns regions w, w+T, w+2T, ... for the whole run: a
-  // region is only ever touched by one thread between barriers, so the
-  // schedule cannot depend on the worker count.
-  auto work = [&](std::uint32_t w) {
-    while (!done) {
-      for (std::size_t i = w; i < count; i += workers) {
-        regions[i]->advance_until(boundary);
-      }
-      sync.arrive_and_wait();
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
-  for (std::uint32_t w = 1; w < workers; ++w) {
-    pool.emplace_back(work, w);
+    PMEMFLOW_ASSERT_MSG(!next.has_value() || *next > *boundary,
+                        "epoch boundary must advance");
+    boundary = next;
   }
-  work(0);
-  for (std::thread& t : pool) t.join();
   return stats;
 }
 

@@ -2,10 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
-#include <optional>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -264,52 +261,6 @@ TEST(PlannerGolden, WindowOneIsByteIdenticalToPreRefactorGreedy) {
         << fingerprint;
   }
 }
-
-/// One branch scenario per case, so ctest -j spreads the sharded
-/// replays across workers.
-struct Branch {
-  std::string scenario;
-};
-
-/// Names the case in test listings: ctest's test name ends in it.
-void PrintTo(const Branch& branch, std::ostream* out) {
-  std::string name = branch.scenario;
-  std::replace(name.begin(), name.end(), '-', '_');
-  *out << name;
-}
-
-std::vector<Branch> branches() {
-  std::vector<Branch> out;
-  for (const std::string& name : branch_scenarios()) out.push_back({name});
-  return out;
-}
-
-class ShardedReplay : public ::testing::TestWithParam<Branch> {};
-
-TEST_P(ShardedReplay, WorkerCountNeverChangesTheSchedule) {
-  // For each lookahead window the 4-region sharded replay must be
-  // byte-identical across 1/2/4 worker threads: threads stay a pure
-  // performance knob with the planner in the loop.
-  const std::string& name = GetParam().scenario;
-  const GoldenScenario scenario = scenario_named(name);
-  const auto stream = golden_stream(scenario);
-  for (std::uint32_t window : {1u, 4u, 16u}) {
-    std::optional<std::uint64_t> expected;
-    for (std::uint32_t threads : {1u, 2u, 4u}) {
-      ServiceConfig config = scenario.config;
-      config.planner.window = window;
-      config.sharding.regions = 4;
-      config.sharding.threads = threads;
-      const std::uint64_t fingerprint = run_fingerprint(config, stream);
-      if (!expected.has_value()) expected = fingerprint;
-      EXPECT_EQ(fingerprint, *expected)
-          << name << " window " << window << " threads " << threads;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(PlannerWindows, ShardedReplay,
-                         ::testing::ValuesIn(branches()));
 
 TEST(PlannerCache, PlanCacheNeverChangesTheSchedule) {
   // The memoized plan cache is transparent: schedules are identical

@@ -94,13 +94,9 @@ int main(int argc, char** argv) {
   flags.add_bool("preemption", false,
                  "urgent arrivals may checkpoint running batch/normal work "
                  "off a node (checkpoint-restore preemption)");
-  flags.add_int("regions", 0,
+  flags.add_int("regions", 1,
                 "epoch-synchronized fleet regions (semantic knob, clamped to "
-                "--nodes; 0 = 1 region unless --shards asks for more)");
-  flags.add_int("shards", 1,
-                "worker threads advancing regions between epoch barriers "
-                "(pure performance knob: results are byte-identical for any "
-                "value)");
+                "--nodes)");
   flags.add_double("epoch-ms", 250.0,
                    "epoch barrier interval in simulated ms (with regions > 1)");
   flags.add_int("submissions", 2000, "number of submissions to generate");
@@ -287,20 +283,12 @@ int main(int argc, char** argv) {
   config.capacity.retention.retain_versions =
       static_cast<std::uint32_t>(flags.get_int("retain-versions"));
 
-  // Sharding: --regions picks the (semantic) fleet split, --shards the
-  // worker threads. `--shards N` alone shards the fleet min(nodes, N)
-  // ways so the threads have regions to own.
-  if (flags.get_int("regions") < 0 || flags.get_int("shards") < 1 ||
-      flags.get_double("epoch-ms") <= 0.0) {
-    std::cerr << "error: --regions must be >= 0, --shards >= 1, "
-                 "--epoch-ms > 0\n";
+  if (flags.get_int("regions") < 1 || flags.get_double("epoch-ms") <= 0.0) {
+    std::cerr << "error: --regions must be >= 1, --epoch-ms > 0\n";
     return 1;
   }
-  const auto shards = static_cast<std::uint32_t>(flags.get_int("shards"));
-  auto regions = static_cast<std::uint32_t>(flags.get_int("regions"));
-  if (regions == 0) regions = shards > 1 ? std::min(config.nodes, shards) : 1;
-  config.sharding.regions = regions;
-  config.sharding.threads = shards;
+  config.sharding.regions =
+      static_cast<std::uint32_t>(flags.get_int("regions"));
   config.sharding.epoch_ns =
       static_cast<SimDuration>(flags.get_double("epoch-ms") * 1e6);
 
