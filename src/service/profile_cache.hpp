@@ -107,6 +107,15 @@ struct CacheStats {
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
 
+  /// Delta of two snapshots of the same cache's counters (`a` taken
+  /// after `b`).
+  friend CacheStats operator-(CacheStats a, const CacheStats& b) noexcept {
+    a.hits -= b.hits;
+    a.misses -= b.misses;
+    a.evictions -= b.evictions;
+    return a;
+  }
+
   [[nodiscard]] double hit_rate() const noexcept {
     const std::uint64_t total = hits + misses;
     return total == 0 ? 0.0

@@ -256,14 +256,21 @@ TEST(OnlineScheduler, CachePersistsAcrossRuns) {
 
   OnlineScheduler scheduler(config);
   ASSERT_TRUE(scheduler.run(stream).has_value());
-  const auto misses_after_first = scheduler.cache().stats().misses;
+  const CacheStats after_first = scheduler.cache().stats();
   auto second = scheduler.run(stream);
   ASSERT_TRUE(second.has_value());
+  const CacheStats after_second = scheduler.cache().stats();
   // Second run over the same classes: all hits, no new characterization.
-  EXPECT_EQ(scheduler.cache().stats().misses, misses_after_first);
+  EXPECT_EQ(after_second.misses, after_first.misses);
   for (const auto& record : second->completions) {
     EXPECT_TRUE(record.cache_hit);
   }
+  // Its metrics count its own lookups, not the cache's lifetime.
+  const std::uint64_t lookups = after_second.hits - after_first.hits;
+  EXPECT_GE(lookups, second->completions.size());
+  EXPECT_EQ(second->metrics.cache.misses, 0u);
+  EXPECT_EQ(second->metrics.cache.hits, lookups);
+  EXPECT_EQ(second->metrics.rate_solves(), 0u);
 }
 
 TEST(OnlineScheduler, TracerSpansBalance) {
