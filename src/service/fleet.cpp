@@ -103,15 +103,6 @@ RunningTask* Fleet::task_at(SlotRef ref) {
   return s.running.has_value() ? &*s.running : nullptr;
 }
 
-bool Fleet::any_idle(SimTime now) const noexcept {
-  for (const NodeState& n : nodes_) {
-    for (const SlotState& s : n.slots) {
-      if (s.free_at_ns <= now && !s.running.has_value()) return true;
-    }
-  }
-  return false;
-}
-
 SimTime Fleet::earliest_free_ns() const noexcept {
   PMEMFLOW_ASSERT(!nodes_.empty());
   SimTime earliest = nodes_.front().slots.front().free_at_ns;
@@ -123,44 +114,14 @@ SimTime Fleet::earliest_free_ns() const noexcept {
   return earliest;
 }
 
-std::optional<std::uint32_t> Fleet::pick_idle_node(PlacementPolicy policy,
-                                                   SimTime now) const {
+bool Fleet::has_idle_node(SimTime now) const {
   // A node is dispatchable only once every slot's finish event has
   // actually fired (running cleared — the index membership criterion):
   // an arrival landing at exactly free_at_ns must wait for the
   // same-timestamp completion callback. Index members may still be
   // draining a checkpoint, hence the node_free_at filter.
-  if (policy == PlacementPolicy::kFirstFit) {
-    for (std::uint32_t i : idle_by_index_) {
-      if (node_free_at(i, now)) return i;
-    }
-    return std::nullopt;
-  }
-  // Least-loaded (also the placement half of kRecommenderAware and
-  // kColocationAware): least accumulated busy time, index as the
-  // deterministic tiebreak — exactly the set's (busy_ns, index) order.
-  for (const auto& [busy, i] : idle_by_load_) {
-    if (node_free_at(i, now)) return i;
-  }
-  return std::nullopt;
-}
-
-std::optional<std::uint32_t> Fleet::pick_idle_node_linear(
-    PlacementPolicy policy, SimTime now) const {
-  std::optional<std::uint32_t> best;
-  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
-    const bool idle = std::all_of(
-        nodes_[i].slots.begin(), nodes_[i].slots.end(),
-        [now](const SlotState& s) {
-          return s.free_at_ns <= now && !s.running.has_value();
-        });
-    if (!idle) continue;
-    if (policy == PlacementPolicy::kFirstFit) return i;
-    if (!best.has_value() || nodes_[i].busy_ns < nodes_[*best].busy_ns) {
-      best = i;
-    }
-  }
-  return best;
+  return std::any_of(idle_by_index_.begin(), idle_by_index_.end(),
+                     [&](std::uint32_t i) { return node_free_at(i, now); });
 }
 
 void Fleet::idle_nodes(SimTime now, std::vector<std::uint32_t>& out) const {

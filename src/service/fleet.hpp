@@ -184,26 +184,16 @@ class Fleet {
   /// finish-event handle and record when re-timing); nullptr when none.
   [[nodiscard]] RunningTask* task_at(SlotRef ref);
 
-  [[nodiscard]] bool any_idle(SimTime now) const noexcept;
-
   /// Earliest time any slot frees (== some free_at_ns; for an idle
   /// fleet this is in the past). Used for retry-after hints and the
   /// preemption decision rule.
   [[nodiscard]] SimTime earliest_free_ns() const noexcept;
 
-  /// Picks a node among those *fully* idle at `now` (every slot free)
-  /// according to `policy` (kRecommenderAware and kColocationAware
-  /// place like kLeastLoaded). Returns nullopt when no node is idle. A
-  /// slot whose finish event has reached its timestamp but not yet
-  /// fired (running task still attached) does not count as free.
-  [[nodiscard]] std::optional<std::uint32_t> pick_idle_node(
-      PlacementPolicy policy, SimTime now) const;
-
-  /// Reference implementation of pick_idle_node: the original O(nodes)
-  /// linear scan. Kept verbatim so tests can assert the idle-index fast
-  /// path is equivalent under arbitrary start/complete/preempt churn.
-  [[nodiscard]] std::optional<std::uint32_t> pick_idle_node_linear(
-      PlacementPolicy policy, SimTime now) const;
+  /// True when some node is *fully* idle at `now` (every slot free):
+  /// exactly when idle_nodes() would be non-empty. A slot whose finish
+  /// event has reached its timestamp but not yet fired (running task
+  /// still attached) does not count as free.
+  [[nodiscard]] bool has_idle_node(SimTime now) const;
 
   /// Fills `out` with every node fully idle at `now`, ascending node
   /// index. Served from the idle index: only task-free nodes are

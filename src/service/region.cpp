@@ -121,12 +121,12 @@ std::optional<SimTime> Region::next_event_time() const {
 bool Region::has_stealable_head(SimTime now) const {
   if (failure_.has_value() || queue_.empty()) return false;
   if (checkpoints_.contains(queue_.front().id)) return false;
-  return !fleet_.pick_idle_node(config_.policy, now).has_value();
+  return !fleet_.has_idle_node(now);
 }
 
 bool Region::can_accept(SimTime now) const {
   if (failure_.has_value() || !queue_.empty()) return false;
-  return fleet_.pick_idle_node(config_.policy, now).has_value();
+  return fleet_.has_idle_node(now);
 }
 
 Submission Region::steal_head() { return queue_.pop(); }

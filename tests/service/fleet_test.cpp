@@ -40,7 +40,7 @@ TEST(FleetDeathTest, ZeroNodesAborts) {
 TEST(Fleet, EarliestFreeOnFreshFleetIsNow) {
   Fleet fleet(3);
   EXPECT_EQ(fleet.earliest_free_ns(), 0u);
-  EXPECT_TRUE(fleet.any_idle(0));
+  EXPECT_TRUE(fleet.has_idle_node(0));
 }
 
 TEST(Fleet, UtilizationClampsDrainPastHorizon) {
@@ -135,16 +135,16 @@ TEST(Fleet, PreemptReturnsSettledRemainingWork) {
   EXPECT_DOUBLE_EQ(task.interference, 1.0);
   // The slot stays busy for the drain, then frees.
   EXPECT_EQ(fleet.node(0).slots[0].free_at_ns, 65u);
-  EXPECT_FALSE(fleet.any_idle(50));
-  EXPECT_TRUE(fleet.any_idle(65));
+  EXPECT_FALSE(fleet.has_idle_node(50));
+  EXPECT_TRUE(fleet.has_idle_node(65));
 }
 
 TEST(FleetIdleIndex, MatchesLinearScanUnderChurn) {
-  // The idle-slot index must agree with the reference O(nodes) linear
-  // scan after any interleaving of start/complete/preempt, for both
-  // orderings (first-fit by index, least-loaded by accumulated busy
-  // time) — including mid-drain nodes, which stay indexed but are
-  // filtered at query time.
+  // The idle index must agree with an O(nodes) linear scan after any
+  // interleaving of start/complete/preempt, in both orders the planner
+  // reads (by index, and by accumulated busy time then index) —
+  // including mid-drain nodes, which stay indexed but are filtered at
+  // query time.
   Fleet fleet(7, 2);
   std::uint64_t rng = 0x1D1E5EEDull;
   auto next = [&rng](std::uint64_t bound) {
@@ -153,11 +153,27 @@ TEST(FleetIdleIndex, MatchesLinearScanUnderChurn) {
   };
   SimTime now = 0;
   std::vector<SlotRef> running;
+  std::vector<std::uint32_t> indexed;
   auto check = [&](SimTime at) {
-    EXPECT_EQ(fleet.pick_idle_node(PlacementPolicy::kFirstFit, at),
-              fleet.pick_idle_node_linear(PlacementPolicy::kFirstFit, at));
-    EXPECT_EQ(fleet.pick_idle_node(PlacementPolicy::kLeastLoaded, at),
-              fleet.pick_idle_node_linear(PlacementPolicy::kLeastLoaded, at));
+    std::vector<std::uint32_t> by_index;
+    for (std::uint32_t i = 0; i < fleet.size(); ++i) {
+      const auto& slots = fleet.node(i).slots;
+      if (std::all_of(slots.begin(), slots.end(), [at](const SlotState& s) {
+            return s.free_at_ns <= at && !s.running.has_value();
+          })) {
+        by_index.push_back(i);
+      }
+    }
+    std::vector<std::uint32_t> by_load = by_index;
+    std::stable_sort(by_load.begin(), by_load.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       return fleet.node(a).busy_ns < fleet.node(b).busy_ns;
+                     });
+    fleet.idle_nodes(at, indexed);
+    EXPECT_EQ(indexed, by_index);
+    fleet.idle_nodes_by_load(at, indexed);
+    EXPECT_EQ(indexed, by_load);
+    EXPECT_EQ(fleet.has_idle_node(at), !by_index.empty());
   };
   for (int step = 0; step < 2000; ++step) {
     now += next(50);
