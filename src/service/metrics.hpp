@@ -153,8 +153,8 @@ struct ServiceMetrics {
   /// Producer→consumer stage pairs fused onto one socket, summed over
   /// completed DAG submissions (the kDagFusion signal).
   std::uint64_t ephemeral_edges = 0;
-  /// Lookahead window the placement planner ran with (1 = classic
-  /// greedy one-submission-at-a-time).
+  /// Lookahead window the placement planner ran with (1 = the queue
+  /// head alone, one submission at a time).
   std::uint32_t planner_window = 1;
   /// Planner invocations this run (each plans up to planner_window
   /// steps), summed per region when sharded.

@@ -1,6 +1,7 @@
 #include "service/planner.hpp"
 
 #include <algorithm>
+#include <tuple>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -10,21 +11,12 @@
 namespace pmemflow::service {
 namespace {
 
-/// Stage-2 score: strict lexicographic (tier, load, cost, node, slot),
-/// lower wins. Candidates are enumerated node-ascending, so keeping the
-/// first strict minimum reproduces every legacy keep-first tie-break.
-bool score_better(const PlacementCandidate& a, const PlacementCandidate& b) {
-  if (a.tier != b.tier) return a.tier < b.tier;
-  if (a.load != b.load) return a.load < b.load;
-  if (a.cost != b.cost) return a.cost < b.cost;
-  if (a.ref.node != b.ref.node) return a.ref.node < b.ref.node;
-  return a.ref.slot < b.ref.slot;
-}
-
-/// Lookahead score: estimated finish first, policy score as tie-break.
-bool estimate_better(const PlacementCandidate& a, const PlacementCandidate& b) {
-  if (a.estimate_ns != b.estimate_ns) return a.estimate_ns < b.estimate_ns;
-  return score_better(a, b);
+/// Stage-2 score: strict lexicographic (estimate, tier, load, cost,
+/// node, slot), lower wins.
+bool better(const PlacementCandidate& a, const PlacementCandidate& b) {
+  return std::tie(a.estimate_ns, a.tier, a.load, a.cost, a.ref.node,
+                  a.ref.slot) < std::tie(b.estimate_ns, b.tier, b.load,
+                                         b.cost, b.ref.node, b.ref.slot);
 }
 
 }  // namespace
@@ -102,251 +94,148 @@ bool Planner::capacity_on() const noexcept {
   return config_.capacity.enabled();
 }
 
-SimDuration Planner::estimate_runtime(const PlacementCandidate& c) const {
-  // The capacity untracked fallback has no profile; an unplaceable DAG
-  // still gets a step — the commit stage drops it. Neither costs node
-  // time.
-  if (c.profile == nullptr || !c.profile->placeable()) return 0;
-  const OptionChoice choice =
-      choose_option(config_, *c.profile, c.flip_placement);
-  const SimDuration runtime = c.profile->options[choice.index].runtime_ns;
-  return c.packs ? interference_scaled(runtime, c.factor) : runtime;
+SimDuration Planner::estimate_runtime(const CachedProfile& profile,
+                                      bool flip_placement) const {
+  if (!profile.placeable()) return 0;
+  return profile.options[choose_option(config_, profile, flip_placement).index]
+      .runtime_ns;
 }
 
-Expected<std::vector<PlacementCandidate>> Planner::enumerate(
-    PlanResolver& resolver, const Fleet& fleet, const Submission& next,
-    SimTime now, const std::vector<bool>& consumed, bool lookahead) {
-  std::vector<PlacementCandidate> out;
-  std::vector<std::uint32_t> idle;
-  fleet.idle_nodes(now, idle);
-  if (!consumed.empty()) {
-    std::erase_if(idle, [&](std::uint32_t i) { return consumed[i]; });
+Expected<Planner::HeadProfile*> Planner::head_profile(PlanResolver& resolver,
+                                                      const Submission& next,
+                                                      std::uint32_t node) {
+  const std::uint64_t device_fp = device_fps_[node];
+  for (HeadProfile& head : heads_) {
+    if (head.device_fp == device_fp) return &head;
   }
-  const bool first_fit = config_.policy == PlacementPolicy::kFirstFit;
-  const auto solo_load = [&](std::uint32_t i) -> std::uint64_t {
-    return first_fit ? 0 : static_cast<std::uint64_t>(fleet.node(i).busy_ns);
+  auto resolved = resolver.resolve_profile(next, node);
+  if (!resolved.has_value()) return Unexpected{resolved.error()};
+  HeadProfile& head = heads_.emplace_back();
+  head.device_fp = device_fp;
+  head.estimate_ns = estimate_runtime(*resolved->profile, false);
+  head.resolved = *std::move(resolved);
+  return &head;
+}
+
+Status Planner::best_candidate(PlanResolver& resolver, const Fleet& fleet,
+                               const Submission& next, SimTime now,
+                               std::span<const PlannedStep> planned,
+                               std::optional<PlacementCandidate>& best) {
+  heads_.clear();
+  // No pack lands on a node an earlier step of the plan took: a planned
+  // tenant's interference would be a guess, not a measurement.
+  const auto consumed = [&](std::uint32_t node) {
+    return std::ranges::any_of(planned, [&](const PlannedStep& step) {
+      return step.candidate.ref.node == node;
+    });
   };
-
+  const auto offer = [&](const PlacementCandidate& c, const HeadProfile& head) {
+    if (best.has_value() && !better(c, *best)) return;
+    best = c;
+    best->profile = head.resolved.profile;
+    best->cache_hit = head.resolved.cache_hit;
+  };
   // A DAG's stages span both sockets regardless of plan, so only a
-  // fully-idle node will do: every policy places it by the plain solo
-  // loop at the bottom.
-  const bool is_dag = next.dag != nullptr;
-  if (!is_dag && config_.policy == PlacementPolicy::kColocationAware) {
-    // The candidate's class profile is needed before commit: pair
-    // compatibility and the interference charge depend on it. On a
-    // homogeneous fleet it is node-independent and resolved once up
-    // front — before the idle scan, because the lookup order (hence
-    // the profile cache's LRU state and hit counters) is part of the
-    // window-1 equivalence contract. Heterogeneous fleets resolve per
-    // candidate node.
-    std::shared_ptr<const CachedProfile> head;
-    bool head_hit = false;
-    if (!heterogeneous()) {
-      auto profile = resolver.resolve_profile(next, 0);
-      if (!profile.has_value()) return Unexpected{profile.error()};
-      head = profile->profile;
-      head_hit = profile->cache_hit;
-    }
-
-    // Preference 1: an empty node (least-loaded) — solo running is
-    // always at least as fast as packing on the same backend.
-    for (std::uint32_t i : idle) {
+  // fully-idle node will do, under every policy. Capacity-aware pairs
+  // rank idle nodes by lease fit:
+  //   0 — fits the preferred socket outright;
+  //   1 — fits the node's other socket (spill: run placement-flipped);
+  //   2 — fits the preferred socket after evicting cold residue;
+  //   3 — fits the other socket after eviction (spill + evict).
+  const bool pair = next.dag == nullptr;
+  bool tiered = pair && config_.policy == PlacementPolicy::kCapacityAware &&
+                capacity_on();
+  const auto offer_idle = [&]() -> Status {
+    for (std::uint32_t i : idle_) {
+      auto found = head_profile(resolver, next, i);
+      if (!found.has_value()) return Unexpected{found.error()};
+      HeadProfile& head = **found;
       PlacementCandidate c;
       c.ref = SlotRef{i, 0};
-      c.load = solo_load(i);
-      c.profile = head;
-      c.cache_hit = head_hit;
-      if (lookahead) {
-        if (heterogeneous()) {
-          auto profile = resolver.resolve_profile(next, i);
-          if (!profile.has_value()) return Unexpected{profile.error()};
-          c.profile = profile->profile;
-          c.cache_hit = profile->cache_hit;
+      c.load = config_.policy == PlacementPolicy::kFirstFit
+                   ? 0
+                   : static_cast<std::uint64_t>(fleet.node(i).busy_ns);
+      if (tiered) {
+        const capacity::ResidencyTracker& residency = fleet.residency();
+        const std::uint32_t preferred = channel_socket_of(config_.fixed_config);
+        const Bytes lease = lease_for(config_.capacity, *head.resolved.profile);
+        if (residency.fits(i, preferred, lease)) {
+          c.tier = 0;
+        } else if (residency.fits(i, preferred ^ 1u, lease)) {
+          c.tier = 1;
+        } else if (residency.fits_after_eviction(i, preferred, lease)) {
+          c.tier = 2;
+        } else if (residency.fits_after_eviction(i, preferred ^ 1u, lease)) {
+          c.tier = 3;
+        } else {
+          continue;
         }
-        c.estimate_ns = estimate_runtime(c);
+        c.flip_placement = c.tier % 2 == 1;
       }
-      out.push_back(std::move(c));
+      c.estimate_ns = c.flip_placement
+                          ? estimate_runtime(*head.resolved.profile, true)
+                          : head.estimate_ns;
+      head.solo = true;
+      offer(c, head);
     }
-    // The legacy greedy never considered packs while any node was idle;
-    // preserved exactly at window 1 (no incumbent lookups happen). A
-    // lookahead window keeps both options: a pack on a fast backend can
-    // beat a solo slot on a slow one.
-    if (!out.empty() && !lookahead) return out;
-
-    // Preference 2: pack next to a compatible sole incumbent; the pair
-    // with the least combined measured slowdown wins (tier 1, so any
-    // solo candidate still beats every pack at window 1).
-    for (std::uint32_t i = 0; i < fleet.size(); ++i) {
-      if (!consumed.empty() && consumed[i]) continue;
-      const auto target = fleet.pack_slot(i, now);
-      if (!target.has_value()) continue;
-      std::shared_ptr<const CachedProfile> joiner = head;
-      bool joiner_hit = head_hit;
-      if (heterogeneous()) {
-        // The candidate's profile on *this* node's backend.
-        auto profile = resolver.resolve_profile(next, i);
-        if (!profile.has_value()) return Unexpected{profile.error()};
-        joiner = profile->profile;
-        joiner_hit = profile->cache_hit;
-      }
-      const RunningTask* incumbent =
-          fleet.running(SlotRef{i, *fleet.sole_tenant_slot(i)});
-      // A DAG incumbent owns both sockets under its plan; nothing packs
-      // next to it.
-      if (incumbent->submission.dag != nullptr) continue;
-      auto incumbent_profile =
-          resolver.resolve_profile(incumbent->submission, i);
-      if (!incumbent_profile.has_value()) {
-        return Unexpected{incumbent_profile.error()};
-      }
-      if (!colocation_compatible(*incumbent_profile->profile, *joiner,
-                                 config_.colocation)) {
-        continue;
-      }
-      auto pair = resolver.resolve_interference(
-          *incumbent_profile->profile, incumbent->submission.spec, *joiner,
-          next.spec, i);
-      if (!pair.has_value()) return Unexpected{pair.error()};
-      if (!pair->feasible) continue;
-      PlacementCandidate c;
-      c.ref = SlotRef{i, *target};
-      c.packs = true;
-      c.factor = pair->slowdown_b;
-      c.incumbent_factor = pair->slowdown_a;
-      c.profile = joiner;
-      c.cache_hit = joiner_hit;
-      c.tier = 1;
-      c.cost = pair->slowdown_a + pair->slowdown_b;
-      if (lookahead) c.estimate_ns = estimate_runtime(c);
-      out.push_back(std::move(c));
-    }
-    return out;
+    return ok_status();
+  };
+  Status offered = offer_idle();
+  if (!offered.has_value()) return offered;
+  if (tiered && !best.has_value() && planned.empty() &&
+      !fleet.any_task_active(now)) {
+    // No pool can hold the lease even after eviction, and neither
+    // running work nor earlier steps of this plan will free capacity:
+    // place untiered, so a lease larger than any pool still makes
+    // progress (charge_lease prices the thrash).
+    tiered = false;
+    offered = offer_idle();
+    if (!offered.has_value()) return offered;
+  }
+  if (!pair || config_.policy != PlacementPolicy::kColocationAware) {
+    return ok_status();
   }
 
-  if (!is_dag && config_.policy == PlacementPolicy::kCapacityAware &&
-      capacity_on()) {
-    // Rank fully-idle nodes by fit tier, then least busy time:
-    //   0 — lease fits the preferred socket outright;
-    //   1 — fits the node's other socket (spill: run placement-flipped);
-    //   2 — fits the preferred socket after evicting cold residue;
-    //   3 — fits the other socket after eviction (spill + evict).
-    const std::uint32_t preferred = channel_socket_of(config_.fixed_config);
-    const std::uint32_t other = preferred ^ 1u;
-    const capacity::ResidencyTracker& residency = fleet.residency();
-    for (std::uint32_t i : idle) {
-      auto profile = resolver.resolve_profile(next, i);
-      if (!profile.has_value()) return Unexpected{profile.error()};
-      const Bytes lease =
-          lease_for(config_.capacity, *profile->profile);
-      std::uint64_t tier = 0;
-      bool flip = false;
-      if (residency.fits(i, preferred, lease)) {
-        tier = 0;
-      } else if (residency.fits(i, other, lease)) {
-        tier = 1;
-        flip = true;
-      } else if (residency.fits_after_eviction(i, preferred, lease)) {
-        tier = 2;
-      } else if (residency.fits_after_eviction(i, other, lease)) {
-        tier = 3;
-        flip = true;
-      } else {
-        continue;
-      }
-      PlacementCandidate c;
-      c.ref = SlotRef{i, 0};
-      c.profile = profile->profile;
-      c.cache_hit = profile->cache_hit;
-      c.flip_placement = flip;
-      c.lease_bytes = lease;
-      c.tier = tier;
-      c.load = static_cast<std::uint64_t>(fleet.node(i).busy_ns);
-      if (lookahead) c.estimate_ns = estimate_runtime(c);
-      out.push_back(std::move(c));
+  // Co-location also packs next to a compatible sole incumbent; the
+  // pair with the least combined measured slowdown breaks estimate
+  // ties. A pack never beats an idle node of its own backend (its
+  // estimate is the same runtime, stretched, and its tier loses the
+  // tie), so packs are offered only on backends with no idle node.
+  for (std::uint32_t i = 0; i < fleet.size(); ++i) {
+    const auto target = fleet.pack_slot(i, now);
+    if (!target.has_value() || consumed(i)) continue;
+    auto found = head_profile(resolver, next, i);
+    if (!found.has_value()) return Unexpected{found.error()};
+    const HeadProfile& head = **found;
+    if (head.solo) continue;
+    const RunningTask* incumbent =
+        fleet.running(SlotRef{i, *fleet.sole_tenant_slot(i)});
+    // A DAG incumbent owns both sockets under its plan; nothing packs
+    // next to it.
+    if (incumbent->submission.dag != nullptr) continue;
+    auto incumbent_profile = resolver.resolve_profile(incumbent->submission, i);
+    if (!incumbent_profile.has_value()) {
+      return Unexpected{incumbent_profile.error()};
     }
-    if (!out.empty()) return out;
-    // No pool can hold the lease even after eviction. If running work
-    // will free capacity — or earlier steps of this window are about to
-    // occupy nodes — wait for a completion; otherwise fall back to bare
-    // least-loaded so a lease larger than any pool still makes progress
-    // (charge_lease prices the thrash).
-    bool any_consumed = false;
-    for (std::size_t i = 0; i < consumed.size(); ++i) {
-      any_consumed = any_consumed || consumed[i];
+    const CachedProfile& joiner = *head.resolved.profile;
+    if (!colocation_compatible(*incumbent_profile->profile, joiner,
+                               config_.colocation)) {
+      continue;
     }
-    if (fleet.any_task_active(now) || any_consumed) return out;
-    for (std::uint32_t i : idle) {
-      PlacementCandidate c;
-      c.ref = SlotRef{i, 0};
-      c.tier = 4;  // untracked fallback: no profile, lease sized at commit
-      c.load = static_cast<std::uint64_t>(fleet.node(i).busy_ns);
-      out.push_back(std::move(c));
-    }
-    return out;
-  }
-
-  if (!is_dag && config_.policy == PlacementPolicy::kRecommenderAware &&
-      heterogeneous()) {
-    // Backend-aware routing: among fully-idle nodes, place the class on
-    // the backend where its recommended configuration runs fastest —
-    // e.g. a read-heavy class whose remote reads are the bottleneck on
-    // Optane routes to a locality-free backend. Lowest node index
-    // breaks runtime ties deterministically.
-    for (std::uint32_t i : idle) {
-      auto profile = resolver.resolve_profile(next, i);
-      if (!profile.has_value()) return Unexpected{profile.error()};
-      const OptionChoice choice =
-          choose_option(config_, *profile->profile, /*flip_placement=*/false);
-      const SimDuration runtime =
-          profile->profile->options[choice.index].runtime_ns;
-      PlacementCandidate c;
-      c.ref = SlotRef{i, 0};
-      c.load = static_cast<std::uint64_t>(runtime);
-      if (lookahead) {
-        // Window 1 deliberately leaves the profile unresolved on the
-        // candidate: the legacy router returned only the node and the
-        // commit stage re-resolved, so the cache traffic must match.
-        c.profile = profile->profile;
-        c.cache_hit = profile->cache_hit;
-        c.estimate_ns = runtime;
-      }
-      out.push_back(std::move(c));
-    }
-    return out;
-  }
-
-  // Plain solo placement: every DAG, and pairs under kFirstFit,
-  // kLeastLoaded, homogeneous kRecommenderAware, kDagFusion, and
-  // kCapacityAware without the capacity model. kFirstFit keeps its
-  // index preference, every other policy places least-loaded. No
-  // profile is needed to decide, so none is resolved at window 1 (the
-  // commit stage does it).
-  for (std::uint32_t i : idle) {
+    auto interference = resolver.resolve_interference(
+        *incumbent_profile->profile, incumbent->submission.spec, joiner,
+        next.spec, i);
+    if (!interference.has_value()) return Unexpected{interference.error()};
+    if (!interference->feasible) continue;
     PlacementCandidate c;
-    c.ref = SlotRef{i, 0};
-    c.load = solo_load(i);
-    if (lookahead) {
-      auto profile = resolver.resolve_profile(next, i);
-      if (!profile.has_value()) return Unexpected{profile.error()};
-      c.profile = profile->profile;
-      c.cache_hit = profile->cache_hit;
-      c.estimate_ns = estimate_runtime(c);
-    }
-    out.push_back(std::move(c));
-  }
-  return out;
-}
-
-Status Planner::finalize(PlanResolver& resolver, const Submission& next,
-                         PlacementCandidate& candidate) {
-  if (config_.policy == PlacementPolicy::kColocationAware && heterogeneous() &&
-      !candidate.packs) {
-    // The winning solo node's backend decides the profile (the pack
-    // path resolved it during enumeration).
-    auto profile = resolver.resolve_profile(next, candidate.ref.node);
-    if (!profile.has_value()) return Unexpected{profile.error()};
-    candidate.profile = profile->profile;
-    candidate.cache_hit = profile->cache_hit;
+    c.ref = SlotRef{i, *target};
+    c.packs = true;
+    c.factor = interference->slowdown_b;
+    c.incumbent_factor = interference->slowdown_a;
+    c.estimate_ns = interference_scaled(head.estimate_ns, c.factor);
+    c.tier = 1;
+    c.cost = interference->slowdown_a + interference->slowdown_b;
+    offer(c, head);
   }
   return ok_status();
 }
@@ -376,89 +265,51 @@ Expected<Plan> Planner::plan(PlanResolver& resolver, const Fleet& fleet,
   auto planned = plan_window(resolver, fleet, window, now);
   if (!planned.has_value()) return planned;
   stats_.planned_steps += planned->steps.size();
-  if (use_cache) memoize(digest, std::move(key), *planned, window);
+  if (use_cache) memoize(digest, std::move(key), *planned);
   return planned;
 }
 
 Expected<Plan> Planner::plan_window(PlanResolver& resolver, const Fleet& fleet,
                                     std::span<const Submission* const> window,
                                     SimTime now) {
+  // Greedy min-estimated-finish insertion over the window, strictly by
+  // priority group (every urgent entry is offered a node before any
+  // normal entry gets one), dispatch order as the final tie-break. At
+  // window 1 this is one decision for the queue head. `idle_` holds the
+  // idle nodes no step has taken yet.
   Plan plan;
-  if (window.size() == 1) {
-    // Greedy fast path: enumerate → score → finalize the single winner.
-    // Byte-identical to the legacy one-at-a-time chooser, including the
-    // profile-cache lookup order.
-    const Submission& next = *window.front();
-    auto candidates =
-        enumerate(resolver, fleet, next, now, {}, /*lookahead=*/false);
-    if (!candidates.has_value()) return Unexpected{candidates.error()};
-    if (candidates->empty()) return plan;
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < candidates->size(); ++i) {
-      if (score_better((*candidates)[i], (*candidates)[best])) best = i;
-    }
-    PlacementCandidate chosen = std::move((*candidates)[best]);
-    const Status finalized = finalize(resolver, next, chosen);
-    if (!finalized.has_value()) return Unexpected{finalized.error()};
-    plan.steps.push_back(PlannedStep{next.id, 0, std::move(chosen)});
+  fleet.idle_nodes(now, idle_);
+  // With no idle node, only a co-location pack could place anything.
+  if (idle_.empty() && config_.policy != PlacementPolicy::kColocationAware) {
     return plan;
   }
-
-  // Bounded lookahead: greedy min-estimated-finish insertion over the
-  // window, strictly by priority group (every urgent entry is offered a
-  // node before any normal entry gets one), dispatch order as the final
-  // tie-break — at window 1 this degenerates to exactly the greedy
-  // path above. The overlay marks nodes taken by earlier steps of this
-  // plan; planned tenants are never packed onto within the same window
-  // (their interference would be a guess, not a measurement).
-  std::vector<bool> consumed(fleet.size(), false);
-  std::vector<bool> placed(window.size(), false);
-  std::size_t group_begin = 0;
-  while (group_begin < window.size()) {
-    const Priority group = window[group_begin]->priority;
-    std::size_t group_end = group_begin;
-    while (group_end < window.size() &&
-           window[group_end]->priority == group) {
-      ++group_end;
+  for (std::size_t begin = 0, end = 0; begin < window.size(); begin = end) {
+    while (end < window.size() &&
+           window[end]->priority == window[begin]->priority) {
+      ++end;
     }
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      std::optional<std::size_t> best_entry;
-      std::optional<PlacementCandidate> best_candidate;
-      SimTime best_finish = 0;
-      for (std::size_t e = group_begin; e < group_end; ++e) {
-        if (placed[e]) continue;
-        auto candidates = enumerate(resolver, fleet, *window[e], now, consumed,
-                                    /*lookahead=*/true);
-        if (!candidates.has_value()) return Unexpected{candidates.error()};
-        std::optional<std::size_t> local;
-        for (std::size_t i = 0; i < candidates->size(); ++i) {
-          if (!local.has_value() ||
-              estimate_better((*candidates)[i], (*candidates)[*local])) {
-            local = i;
-          }
-        }
-        if (!local.has_value()) continue;  // nothing for this entry yet
-        PlacementCandidate& c = (*candidates)[*local];
-        const SimTime finish = now + c.estimate_ns;
+    // Each round plans the group entry that would finish earliest.
+    for (;;) {
+      std::optional<PlannedStep> step;
+      for (std::size_t e = begin; e < end; ++e) {
+        const auto placed = [&](const PlannedStep& s) { return s.entry == e; };
+        if (std::ranges::any_of(plan.steps, placed)) continue;
+        std::optional<PlacementCandidate> best;
+        const Status found =
+            best_candidate(resolver, fleet, *window[e], now, plan.steps, best);
+        if (!found.has_value()) return Unexpected{found.error()};
         // Strict < keeps the earliest window entry on finish ties.
-        if (!best_entry.has_value() || finish < best_finish) {
-          best_entry = e;
-          best_candidate = std::move(c);
-          best_finish = finish;
+        if (best.has_value() &&
+            (!step.has_value() ||
+             best->estimate_ns < step->candidate.estimate_ns)) {
+          step = PlannedStep{window[e]->id, static_cast<std::uint32_t>(e),
+                             *std::move(best)};
         }
       }
-      if (best_entry.has_value()) {
-        consumed[best_candidate->ref.node] = true;
-        placed[*best_entry] = true;
-        plan.steps.push_back(PlannedStep{
-            window[*best_entry]->id, static_cast<std::uint32_t>(*best_entry),
-            std::move(*best_candidate)});
-        progress = true;
-      }
+      if (!step.has_value()) break;
+      std::erase(idle_, step->candidate.ref.node);
+      plan.steps.push_back(*std::move(step));
     }
-    group_begin = group_end;
   }
   return plan;
 }
@@ -472,54 +323,37 @@ Expected<Plan> Planner::replay(PlanResolver& resolver, const Fleet& fleet,
   for (const CompactStep& step : steps) {
     PMEMFLOW_ASSERT(step.entry < window.size());
     const Submission& next = *window[step.entry];
+    auto profile = resolver.resolve_profile(next, step.ref.node);
+    if (!profile.has_value()) return Unexpected{profile.error()};
     PlacementCandidate c;
     c.ref = step.ref;
     c.flip_placement = step.flip_placement;
-    switch (step.kind) {
-      case StepKind::kPack: {
-        auto joiner = resolver.resolve_profile(next, step.ref.node);
-        if (!joiner.has_value()) return Unexpected{joiner.error()};
-        const auto tenant = fleet.sole_tenant_slot(step.ref.node);
-        PMEMFLOW_ASSERT_MSG(tenant.has_value(),
-                            "cached pack step on a node whose occupancy "
-                            "diverged from its key");
-        const RunningTask* incumbent =
-            fleet.running(SlotRef{step.ref.node, *tenant});
-        PMEMFLOW_ASSERT(incumbent != nullptr &&
-                        incumbent->submission.dag == nullptr);
-        auto incumbent_profile =
-            resolver.resolve_profile(incumbent->submission, step.ref.node);
-        if (!incumbent_profile.has_value()) {
-          return Unexpected{incumbent_profile.error()};
-        }
-        auto pair = resolver.resolve_interference(
-            *incumbent_profile->profile, incumbent->submission.spec,
-            *joiner->profile, next.spec, step.ref.node);
-        if (!pair.has_value()) return Unexpected{pair.error()};
-        PMEMFLOW_ASSERT_MSG(pair->feasible,
-                            "cached pack step's interference turned "
-                            "infeasible under an identical key");
-        c.packs = true;
-        c.factor = pair->slowdown_b;
-        c.incumbent_factor = pair->slowdown_a;
-        c.profile = joiner->profile;
-        c.cache_hit = joiner->cache_hit;
-        break;
+    c.profile = profile->profile;
+    c.cache_hit = profile->cache_hit;
+    if (step.packs) {
+      const auto tenant = fleet.sole_tenant_slot(step.ref.node);
+      PMEMFLOW_ASSERT_MSG(tenant.has_value(),
+                          "cached pack step on a node whose occupancy "
+                          "diverged from its key");
+      const RunningTask* incumbent =
+          fleet.running(SlotRef{step.ref.node, *tenant});
+      PMEMFLOW_ASSERT(incumbent != nullptr &&
+                      incumbent->submission.dag == nullptr);
+      auto incumbent_profile =
+          resolver.resolve_profile(incumbent->submission, step.ref.node);
+      if (!incumbent_profile.has_value()) {
+        return Unexpected{incumbent_profile.error()};
       }
-      case StepKind::kCapacity: {
-        auto profile = resolver.resolve_profile(next, step.ref.node);
-        if (!profile.has_value()) return Unexpected{profile.error()};
-        c.profile = profile->profile;
-        c.cache_hit = profile->cache_hit;
-        c.lease_bytes = lease_for(config_.capacity, *profile->profile);
-        break;
-      }
-      case StepKind::kCapacityFallback:
-      case StepKind::kSolo:
-        // Bare placement, a DAG's included: the commit stage resolves
-        // the profile (and, for the fallback, sizes the lease), exactly
-        // like a fresh window-1 plan.
-        break;
+      auto pair = resolver.resolve_interference(
+          *incumbent_profile->profile, incumbent->submission.spec,
+          *profile->profile, next.spec, step.ref.node);
+      if (!pair.has_value()) return Unexpected{pair.error()};
+      PMEMFLOW_ASSERT_MSG(pair->feasible,
+                          "cached pack step's interference turned "
+                          "infeasible under an identical key");
+      c.packs = true;
+      c.factor = pair->slowdown_b;
+      c.incumbent_factor = pair->slowdown_a;
     }
     plan.steps.push_back(PlannedStep{next.id, step.entry, std::move(c)});
   }
@@ -527,8 +361,7 @@ Expected<Plan> Planner::replay(PlanResolver& resolver, const Fleet& fleet,
 }
 
 void Planner::memoize(std::uint64_t digest, std::vector<std::uint64_t> key,
-                      const Plan& plan,
-                      std::span<const Submission* const> window) {
+                      const Plan& plan) {
   // Bounded memo with a deterministic wholesale clear, the same shape
   // as the rate allocator's solve cache: eviction order must not depend
   // on anything but the insertion sequence.
@@ -540,20 +373,9 @@ void Planner::memoize(std::uint64_t digest, std::vector<std::uint64_t> key,
   cached.key = std::move(key);
   cached.steps.reserve(plan.steps.size());
   for (const PlannedStep& step : plan.steps) {
-    CompactStep compact;
-    compact.entry = step.entry;
-    compact.ref = step.candidate.ref;
-    compact.flip_placement = step.candidate.flip_placement;
-    if (step.candidate.packs) {
-      compact.kind = StepKind::kPack;
-    } else if (config_.policy == PlacementPolicy::kCapacityAware &&
-               capacity_on() && window[step.entry]->dag == nullptr) {
-      compact.kind = step.candidate.tier == 4 ? StepKind::kCapacityFallback
-                                              : StepKind::kCapacity;
-    } else {
-      compact.kind = StepKind::kSolo;
-    }
-    cached.steps.push_back(compact);
+    cached.steps.push_back(CompactStep{step.entry, step.candidate.ref,
+                                       step.candidate.packs,
+                                       step.candidate.flip_placement});
   }
   cache_[digest] = std::move(cached);
 }

@@ -1,23 +1,17 @@
 // The placement planner: candidate generation, policy scoring, and
 // bounded lookahead over a window of queued submissions.
 //
-// Placement used to live inside Region as five per-policy chooser
-// methods that enumerated nodes, scored them, and leaked partial
-// decisions into the dispatch path. The planner splits that into the
-// three stages the rest of the service composes:
+// Placement runs in three stages:
 //
 //   1. candidate generation — a policy-neutral enumerator over idle
 //      nodes, sockets (capacity spill), co-location pairings, and
-//      whole-node DAG placements. Which candidates need their class
-//      profile resolved *during* enumeration is a per-policy property
-//      (capacity tiers and heterogeneous recommender routing do;
-//      first-fit/least-loaded do not), and the enumerator mirrors the
-//      legacy lookup pattern exactly so a window-1 plan is
-//      byte-identical to the pre-planner greedy path — including the
-//      profile-cache traffic.
-//   2. scoring — each PlacementPolicy is a pure lexicographic score
-//      (tier, load, cost, node, slot) over candidates, built from the
-//      device-aware runtime estimates in the ProfileCache and the
+//      whole-node DAG placements. Every candidate carries the
+//      submission's profile on its node's backend (resolved lazily, at
+//      most once per backend per decision) and the estimated solo
+//      runtime of the option the policy would run there.
+//   2. scoring — estimated runtime first, then each PlacementPolicy's
+//      lexicographic score (tier, load, cost, node, slot), built from
+//      the device-aware runtime estimates in the ProfileCache and the
 //      measured InterferenceTable slowdowns. Lower wins; ties resolve
 //      by node index, so selection is deterministic.
 //   3. commit — the planner never mutates the Fleet. Region::dispatch
@@ -25,11 +19,12 @@
 //      that starts work, charges leases, or evicts), and preemption
 //      goes through the same commit surface.
 //
-// With window > 1 the planner batches: it plans up to k queued
-// submissions per wake-up with a greedy min-estimated-finish insertion
-// (urgent before normal before batch; deterministic tie-breaks), so
-// short work backfills around a stuck head and heterogeneous fleets
-// route each class to the backend where it finishes earliest.
+// A plan covers up to k queued submissions per wake-up (k = 1 plans the
+// queue head alone), placed by one greedy min-estimated-finish
+// insertion (urgent before normal before batch; deterministic
+// tie-breaks), so short work backfills around a stuck head and
+// heterogeneous fleets route each class to the backend where it
+// finishes earliest.
 //
 // Plans are memoizable: the cache key fingerprints the window's class
 // sequence and the fleet state a plan depends on — per-node device
@@ -44,6 +39,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -60,8 +56,8 @@ struct ServiceConfig;  // service/scheduler.hpp (which includes us)
 /// Knobs of the lookahead planner (ServiceConfig::planner).
 struct PlannerConfig {
   /// Queued submissions planned jointly per scheduler wake-up. 1 (the
-  /// default) plans greedily one-at-a-time and is byte-identical to
-  /// the pre-planner per-policy placement path.
+  /// default) plans the queue head alone, by the same
+  /// min-estimated-finish rule as every other window.
   std::uint32_t window = 1;
   /// Memoize whole window plans keyed on (window class sequence ×
   /// fleet/device/residency state). Schedules are identical with the
@@ -104,33 +100,28 @@ struct PlacementCandidate {
   bool packs = false;
   /// New factor for the incumbent when packing.
   double incumbent_factor = 1.0;
-  /// Candidate's profile when the policy resolved it during
-  /// enumeration (colocation, capacity tiers, lookahead estimates);
-  /// null means the commit stage resolves it. A DAG's profile may be
-  /// !placeable(), in which case the commit drops the submission.
+  /// The submission's profile on the node's backend. A DAG's profile
+  /// may be !placeable(), in which case the commit drops the
+  /// submission.
   std::shared_ptr<const CachedProfile> profile;
+  /// Whether resolving `profile` was a profile-cache hit.
   bool cache_hit = false;
   /// Capacity-aware spill: run under the placement-flipped fixed
   /// config so the channel lands on the node's other socket.
   bool flip_placement = false;
-  /// Lease already sized during capacity-aware tiering (0 = size it
-  /// at commit).
-  Bytes lease_bytes = 0;
 
   // -- scoring inputs (stage 2), lower is better, lexicographic --
+  /// Estimated runtime under the policy's chosen configuration on the
+  /// node's backend, stretched by `factor` when packing.
+  SimDuration estimate_ns = 0;
   /// Policy preference class: 0 = solo/idle placement (or the best
-  /// capacity fit), 1..3 = worse capacity fits / co-location packs,
-  /// 4 = capacity's untracked fallback.
+  /// capacity fit), 1..3 = worse capacity fits / co-location packs.
   std::uint64_t tier = 0;
-  /// Policy load key: accumulated busy time (least-loaded family),
-  /// estimated runtime (heterogeneous recommender routing), or 0
-  /// (first-fit — node index alone decides).
+  /// Policy load key: accumulated busy time, or 0 under first-fit
+  /// (node index alone decides).
   std::uint64_t load = 0;
   /// Measured combined pack slowdown (co-location packs only).
   double cost = 0.0;
-  /// Estimated solo runtime under the policy's chosen configuration
-  /// (lookahead windows only; 0 at window 1).
-  SimDuration estimate_ns = 0;
 };
 
 /// One planned placement: which queued submission goes where.
@@ -151,13 +142,12 @@ struct Plan {
 };
 
 /// What the planner needs from its owner to resolve profiles and
-/// interference: Region implements this over its per-region
+/// interference: Region implements this over the scheduler's
 /// ProfileCache/InterferenceTable (heterogeneous lookups keyed by the
 /// node's backend). A pair and a DAG resolve alike, by the
 /// submission's stamped `class_fp`, never by re-fingerprinting its
 /// spec. `cache_hit` reports whether the lookup was served from the
-/// cache — observable in completion records and metrics, so resolution
-/// order is part of the window-1 equivalence contract.
+/// cache; completion records and metrics report it.
 class PlanResolver {
  public:
   struct Resolved {
@@ -217,17 +207,12 @@ class Planner {
       SimTime now) const;
 
  private:
-  /// How a compactly cached step is re-resolved at replay.
-  enum class StepKind : std::uint8_t {
-    kSolo,              ///< idle-node pair or DAG; commit resolves it
-    kPack,              ///< co-location join; re-resolve pair factors
-    kCapacity,          ///< capacity-tiered; re-resolve profile + lease
-    kCapacityFallback,  ///< untracked lease fallback (bare least-loaded)
-  };
+  /// A cached step: replay re-resolves its profile on its node, and a
+  /// pack's interference factors.
   struct CompactStep {
     std::uint32_t entry = 0;
     SlotRef ref;
-    StepKind kind = StepKind::kSolo;
+    bool packs = false;
     bool flip_placement = false;
   };
   struct CachedPlan {
@@ -236,26 +221,37 @@ class Planner {
     std::vector<CompactStep> steps;
   };
 
+  /// The profile of the submission being placed on one backend.
+  struct HeadProfile {
+    std::uint64_t device_fp = 0;
+    PlanResolver::Resolved resolved;
+    /// Solo runtime estimate of the unflipped option.
+    SimDuration estimate_ns = 0;
+    /// An idle node of this backend is a candidate, so no pack on the
+    /// backend can win.
+    bool solo = false;
+  };
+
   [[nodiscard]] bool heterogeneous() const noexcept;
   [[nodiscard]] bool capacity_on() const noexcept;
-  /// Candidate generation (stage 1). `consumed[n]` marks nodes taken
-  /// by earlier steps of the same window plan. In lookahead mode every
-  /// candidate carries a resolved profile and runtime estimate; at
-  /// window 1 resolution follows the legacy per-policy pattern and
-  /// finalize() completes the winner.
-  [[nodiscard]] Expected<std::vector<PlacementCandidate>> enumerate(
-      PlanResolver& resolver, const Fleet& fleet, const Submission& next,
-      SimTime now, const std::vector<bool>& consumed, bool lookahead);
-  /// Resolves the heterogeneous co-location solo winner's profile at
-  /// window 1 (its node's backend decides it), keeping the pinned
-  /// profile-cache lookup order. Every other bare winner resolves at
-  /// commit.
-  [[nodiscard]] Status finalize(PlanResolver& resolver, const Submission& next,
-                                PlacementCandidate& candidate);
-  /// Estimated solo runtime of `candidate`'s option (device-aware
-  /// roofline from the cached profile; pack-scaled).
-  [[nodiscard]] SimDuration estimate_runtime(
-      const PlacementCandidate& candidate) const;
+  /// `next`'s profile on `node`'s backend, resolved on the first ask of
+  /// a decision and reused for every later node of that backend. The
+  /// pointer is valid until the next call.
+  [[nodiscard]] Expected<HeadProfile*> head_profile(PlanResolver& resolver,
+                                                    const Submission& next,
+                                                    std::uint32_t node);
+  /// Stages 1 and 2 for one submission: its best candidate among the
+  /// idle nodes left in `idle_` and, under co-location, the packs on
+  /// nodes no `planned` step took; none when nothing fits.
+  [[nodiscard]] Status best_candidate(PlanResolver& resolver,
+                                      const Fleet& fleet,
+                                      const Submission& next, SimTime now,
+                                      std::span<const PlannedStep> planned,
+                                      std::optional<PlacementCandidate>& best);
+  /// Runtime of the option the policy runs `profile` under (0 for an
+  /// unplaceable DAG, which the commit drops).
+  [[nodiscard]] SimDuration estimate_runtime(const CachedProfile& profile,
+                                             bool flip_placement) const;
   [[nodiscard]] Expected<Plan> plan_window(
       PlanResolver& resolver, const Fleet& fleet,
       std::span<const Submission* const> window, SimTime now);
@@ -264,7 +260,7 @@ class Planner {
       std::span<const Submission* const> window,
       const std::vector<CompactStep>& steps);
   void memoize(std::uint64_t digest, std::vector<std::uint64_t> key,
-               const Plan& plan, std::span<const Submission* const> window);
+               const Plan& plan);
 
   const ServiceConfig& config_;
   std::uint32_t node_base_;
@@ -274,6 +270,11 @@ class Planner {
   std::vector<std::uint64_t> device_fps_;
   std::unordered_map<std::uint64_t, CachedPlan> cache_;
   PlannerStats stats_;
+  // Scratch reused across plans, so a plan allocates only its steps.
+  /// Idle nodes no step of the plan being built has taken.
+  std::vector<std::uint32_t> idle_;
+  /// One entry per backend the current decision touched.
+  std::vector<HeadProfile> heads_;
 };
 
 /// Dual-socket nodes throughout (the paper's testbed shape).

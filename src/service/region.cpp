@@ -235,23 +235,10 @@ void Region::commit_step(const PlannedStep& step, SimTime now) {
     task.record.restore_ns += overhead;
     tag = migration > 0 ? "resume, migrated" : "resume";
   } else {
-    // A fresh task runs its profile's chosen option. The planner only
-    // resolves profiles where the *placement* needed one; bare steps
-    // resolve here, at commit, exactly like the legacy dispatch did.
-    std::shared_ptr<const CachedProfile> resolved_here;
-    const CachedProfile* profile = choice.profile.get();
-    bool cache_hit = choice.cache_hit;
-    if (profile == nullptr) {
-      auto resolved = resolve_profile(submission, choice.ref.node);
-      if (!resolved.has_value()) {
-        failure_ = resolved.error();
-        return;
-      }
-      resolved_here = std::move(resolved->profile);
-      profile = resolved_here.get();
-      cache_hit = resolved->cache_hit;
-    }
-    if (!profile->placeable()) {
+    // A fresh task runs the chosen option of the profile the planner
+    // resolved on its node.
+    const CachedProfile& profile = *choice.profile;
+    if (!profile.placeable()) {
       // No socket assignment fits this DAG's per-socket core demand on
       // any plan: the node shape, not transient load, is the blocker,
       // so retrying cannot help. Count it dropped (the completed +
@@ -268,34 +255,31 @@ void Region::commit_step(const PlannedStep& step, SimTime now) {
       return;
     }
     const OptionChoice picked =
-        choose_option(config_, *profile, choice.flip_placement);
-    const PlanOption& option = profile->options[picked.index];
+        choose_option(config_, profile, choice.flip_placement);
+    const PlanOption& option = profile.options[picked.index];
     task.record.id = submission.id;
     task.record.label = submission.dag != nullptr ? submission.dag->label
                                                   : submission.spec.label;
     task.record.priority = submission.priority;
     task.record.config = picked.config;
-    task.record.cache_hit = cache_hit;
+    task.record.cache_hit = choice.cache_hit;
     task.record.arrival_ns = submission.arrival_ns;
     task.record.start_ns = now;
-    task.record.best_runtime_ns = profile->best_runtime_ns();
-    task.record.dag = profile->dag;
+    task.record.best_runtime_ns = profile.best_runtime_ns();
+    task.record.dag = profile.dag;
     task.record.ephemeral_edges = option.ephemeral_edges;
-    task.snapshot_bytes_per_iteration = profile->bytes_per_iteration;
-    task.iterations = profile->iterations;
+    task.snapshot_bytes_per_iteration = profile.bytes_per_iteration;
+    task.iterations = profile.iterations;
     task.remaining_ns = staged_runtime(
-        option.runtime_ns, profile->bytes_per_iteration, profile->iterations);
+        option.runtime_ns, profile.bytes_per_iteration, profile.iterations);
     task.record.config_runtime_ns = task.remaining_ns;
     if (capacity_on()) {
       // Every policy pays for residency once the model is on; only
-      // kCapacityAware *places* with it. The lease was sized during
-      // capacity-aware ranking; blind policies size it here.
-      task.lease_bytes = choice.lease_bytes != 0
-                             ? choice.lease_bytes
-                             : lease_for(config_.capacity, *profile);
+      // kCapacityAware *places* with it.
+      task.lease_bytes = lease_for(config_.capacity, profile);
       task.lease_socket = option.lease_socket;
     }
-    if (profile->dag) {
+    if (profile.dag) {
       tag = picked.index == kFusedOption ? "dag-fused" : "dag-spread";
     }
   }

@@ -198,8 +198,8 @@ std::vector<PinCase> pin_cases() {
     PinCase c{"colocation_two_backends",
               base_config(PlacementPolicy::kColocationAware),
               Reaches::kPacks,
-              0x099a68341195f27bULL, 0xa1653195b06bb361ULL,
-              0xdcf940e3da969a1eULL};
+              0x85bbf8f0e9f28b59ULL, 0xfdb969626c103c5eULL,
+              0x0ef4ba7b220187c7ULL};
     c.config.nodes = 4;
     two_backends(c.config);
     cases.push_back(std::move(c));
@@ -208,7 +208,7 @@ std::vector<PinCase> pin_cases() {
     PinCase c{"preemption_least_loaded",
               base_config(PlacementPolicy::kLeastLoaded),
               Reaches::kMigratedResume,
-              0x4e8e55b76626118eULL, 0xfad17aab9a395debULL,
+              0x4e8e55b76626118eULL, 0xa55d71dd5aebed57ULL,
               0x646e212e613b1133ULL};
     c.config.nodes = 4;
     cases.push_back(std::move(c));
@@ -217,7 +217,7 @@ std::vector<PinCase> pin_cases() {
     PinCase c{"capacity_aware_bounded_pools",
               base_config(PlacementPolicy::kCapacityAware),
               Reaches::kEvictionStagingGc,
-              0xb6364d4eb65b9efcULL, 0xc98d5981e886ec60ULL,
+              0xb6364d4eb65b9efcULL, 0x59d967f505e99364ULL,
               0x8d8d4e367a9a8355ULL};
     bounded_pools(c.config, 6 * kGiB);
     cases.push_back(std::move(c));
@@ -226,7 +226,7 @@ std::vector<PinCase> pin_cases() {
     PinCase c{"capacity_blind_bounded_pools",
               base_config(PlacementPolicy::kFirstFit),
               Reaches::kEvictionStagingGc,
-              0xc84fa6a91a1f9543ULL, 0xa834d0b204c555d3ULL,
+              0xc84fa6a91a1f9543ULL, 0x153fee6fa5af77caULL,
               0xc458b3919fea30a9ULL};
     bounded_pools(c.config, 6 * kGiB);
     cases.push_back(std::move(c));
@@ -243,12 +243,12 @@ std::vector<PinCase> pin_cases() {
   }
   cases.push_back({"dag_fusion", base_config(PlacementPolicy::kDagFusion),
                    Reaches::kFusedDags, 0x85d06038fb86dbf0ULL,
-                   0xfad8162497f11737ULL, 0x53a78db97f413c15ULL});
+                   0x2a93e2a8ed8f99c5ULL, 0x53a78db97f413c15ULL});
   {
     PinCase c{"window1_plan_cache_capacity_aware",
               base_config(PlacementPolicy::kCapacityAware),
               Reaches::kPlanCacheHits,
-              0x2cc9755bdc235e8dULL, 0xed0c1bd710f1384dULL,
+              0x2cc9755bdc235e8dULL, 0xa404482e5a8c4c19ULL,
               0x2088d25855399b14ULL};
     c.config.capacity.pmem_per_socket = 64 * kGiB;
     c.config.planner.plan_cache = true;
@@ -258,7 +258,7 @@ std::vector<PinCase> pin_cases() {
     PinCase c{"window4_plan_cache_colocation",
               base_config(PlacementPolicy::kColocationAware),
               Reaches::kPlanCacheHits,
-              0x9fc17278eb342bb4ULL, 0x7d4839b2f6e3e868ULL,
+              0x9fc17278eb342bb4ULL, 0x3e4f82ad7564bcf0ULL,
               0x53fa5aba9fc785aeULL};
     c.config.planner.window = 4;
     c.config.planner.plan_cache = true;
@@ -268,8 +268,8 @@ std::vector<PinCase> pin_cases() {
     PinCase c{"window4_plan_cache_recommender_small_cache",
               base_config(PlacementPolicy::kRecommenderAware),
               Reaches::kPlanCacheHits,
-              0xa079107448e0a5a3ULL, 0x8e636c3a21afbd19ULL,
-              0xe22cbd41746ba1afULL};
+              0x57181c2d401db0a8ULL, 0xd97adf28a2744b24ULL,
+              0xb47fda9cce98b8e0ULL};
     c.config.nodes = 4;
     two_backends(c.config);
     c.config.cache_capacity = 3;
@@ -283,8 +283,8 @@ std::vector<PinCase> pin_cases() {
     PinCase c{"sharded_capacity_aware_bounded_pools",
               base_config(PlacementPolicy::kCapacityAware),
               Reaches::kShardMigrations,
-              0x6c53bab64d05f4afULL, 0x7b365832dffbe0c7ULL,
-              0x91e604349255029bULL};
+              0xbc399f63448cf1fbULL, 0xf1f4d6affa52a3ccULL,
+              0xee0367bb9e66a7d2ULL};
     c.config.nodes = 8;
     bounded_pools(c.config, 6 * kGiB);
     c.config.sharding.regions = 4;

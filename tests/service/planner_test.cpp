@@ -9,17 +9,17 @@
 #include "dag/spec.hpp"
 #include "devices/registry.hpp"
 #include "service/arrivals.hpp"
+#include "service/class_key.hpp"
 #include "service/scheduler.hpp"
 
 namespace pmemflow::service {
 namespace {
 
-// The golden scenarios below were captured by running this exact block
-// against the pre-planner commit (the last one with the per-policy
-// choosers inside Region), fingerprinted by schedule_fingerprint
-// (service/metrics.hpp); the pins in kGoldenPins are that run's output.
-// Keep the block and the fingerprint byte-stable: re-recording pins is
-// only legitimate for a deliberate, documented schedule change.
+// The golden scenarios below pin window-1 schedules, fingerprinted by
+// schedule_fingerprint (service/metrics.hpp); the pins in kGoldenPins
+// are this exact block's output. Keep the block and the fingerprint
+// byte-stable: re-recording pins is only legitimate for a deliberate,
+// documented schedule change.
 
 ArrivalParams golden_stream_params() {
   ArrivalParams params;
@@ -93,10 +93,9 @@ Expected<std::vector<Submission>> golden_two_phase_stream() {
   return stream;
 }
 
-/// The pre-refactor greedy scenarios the planner must reproduce at
-/// window 1: all placement policies, plus the heterogeneous-routing,
-/// preemption, and bounded-capacity variants of the paths that branch
-/// on fleet state.
+/// The window-1 golden scenarios: all placement policies, plus the
+/// heterogeneous-routing, preemption, and bounded-capacity variants of
+/// the paths that branch on fleet state.
 struct GoldenScenario {
   const char* name;
   ServiceConfig config;
@@ -182,9 +181,10 @@ Expected<ServiceResult> run_golden(const GoldenScenario& scenario) {
   return scheduler.run(*stream);
 }
 
-/// Pre-refactor schedule fingerprints, recorded from the legacy
-/// per-policy chooser path (the commit that preceded the planner). The
-/// window-1 planner must reproduce every one, byte for byte.
+/// Window-1 schedule fingerprints. All but `capacity` date from the
+/// per-policy choosers that preceded the planner; `capacity` was
+/// re-recorded when window 1 joined the min-estimated-finish loop
+/// (estimated runtime now ranks before the capacity fit tier).
 struct GoldenPin {
   const char* name;
   std::uint64_t fingerprint;
@@ -199,7 +199,7 @@ constexpr GoldenPin kGoldenPins[] = {
     {"recommender", 0x3abbc4115577e8e4ULL},
     {"recommender-hetero", 0xab30bd71003ae3f9ULL},
     {"colocation", 0x845fed21d79593fdULL},
-    {"capacity", 0xf4e38c638812f364ULL},
+    {"capacity", 0xe3aa3c23ec4fdcf3ULL},
     {"preemption", 0x653b3c75d0242f5bULL},
     {"dag-fusion", 0x76f86f913a113574ULL},
 };
@@ -240,25 +240,24 @@ GoldenScenario scenario_named(const std::string& name) {
   return GoldenScenario{"", ServiceConfig{}, ArrivalParams{}};
 }
 
-/// Scenarios covering every planner enumeration branch (plain,
-/// heterogeneous recommender routing, co-location packing, capacity
-/// tiering, whole-node DAG placement) for the cross-product tests that
-/// would be too slow over all eleven.
+/// Scenarios covering every planner enumeration branch (plain, plain
+/// on a heterogeneous fleet, co-location packing, capacity tiering,
+/// whole-node DAG placement) for the cross-product tests that would be
+/// too slow over all eleven.
 std::vector<std::string> branch_scenarios() {
   return {"least-loaded", "recommender-hetero", "colocation", "capacity",
           "dag-fusion"};
 }
 
-TEST(PlannerGolden, WindowOneIsByteIdenticalToPreRefactorGreedy) {
+TEST(PlannerGolden, WindowOneMatchesPinnedSchedules) {
   for (const auto& scenario : golden_scenarios()) {
     auto result = run_golden(scenario);
     ASSERT_TRUE(result.has_value())
         << scenario.name << ": " << result.error().message;
     const std::uint64_t fingerprint = schedule_fingerprint(*result);
     EXPECT_EQ(fingerprint, pin_for(scenario.name))
-        << scenario.name << ": planner window-1 schedule diverged from the "
-        << "pre-refactor pin; actual fingerprint 0x" << std::hex
-        << fingerprint;
+        << scenario.name << ": planner window-1 schedule diverged from its "
+        << "pin; actual fingerprint 0x" << std::hex << fingerprint;
   }
 }
 
@@ -305,6 +304,90 @@ Submission golden_head() {
   auto stream = make_submission_stream(golden_stream_params());
   EXPECT_TRUE(stream.has_value());
   return stream->front();
+}
+
+/// Serves profiles from a real cache, keyed by each node's backend like
+/// Region, and counts the planner's profile resolutions.
+class CountingResolver : public PlanResolver {
+ public:
+  explicit CountingResolver(const ServiceConfig& config)
+      : config_(config), cache_(config.cache_capacity) {}
+
+  Expected<Resolved> resolve_profile(const Submission& submission,
+                                     std::uint32_t node) override {
+    ++profile_calls;
+    const devices::NodeDevices* backend =
+        config_.node_specs.empty() ? nullptr
+                                   : &config_.node_specs[node].devices;
+    auto profile = cache_.lookup_keyed(
+        submission,
+        backend != nullptr ? backend->fingerprint()
+                           : cache_.default_device_fingerprint(),
+        backend);
+    if (!profile.has_value()) return Unexpected{profile.error()};
+    return Resolved{*std::move(profile), false};
+  }
+
+  Expected<PairInterference> resolve_interference(
+      const CachedProfile&, const workflow::WorkflowSpec&,
+      const CachedProfile&, const workflow::WorkflowSpec&,
+      std::uint32_t) override {
+    ADD_FAILURE() << "an empty fleet has no incumbent to pack next to";
+    return make_error("unexpected interference lookup");
+  }
+
+  std::size_t profile_calls = 0;
+
+ private:
+  const ServiceConfig& config_;
+  ProfileCache cache_;
+};
+
+TEST(PlannerProfiles, WindowOneResolvesTheHeadOncePerBackend) {
+  // One decision resolves the head's profile lazily, once per backend
+  // it touches, and the step carries the profile measured on the
+  // chosen node's backend, so the commit stage resolves none.
+  const char* backends[] = {"optane-gen1", "dram-like", "cxl-like",
+                            "optane-gen2"};
+  Submission head = golden_head();
+  head.class_fp = class_key(head);
+  const Submission* window[] = {&head};
+  for (const bool mixed : {true, false}) {
+    for (PlacementPolicy policy :
+         {PlacementPolicy::kFirstFit, PlacementPolicy::kLeastLoaded,
+          PlacementPolicy::kRecommenderAware,
+          PlacementPolicy::kColocationAware}) {
+      SCOPED_TRACE(testing::Message()
+                   << (mixed ? "four backends, " : "one backend, ")
+                   << to_string(policy));
+      ServiceConfig config = golden_config(policy);
+      config.nodes = 8;
+      for (std::uint32_t i = 0; mixed && i < config.nodes; ++i) {
+        NodeSpec spec;
+        spec.backend_name = backends[i % 4];
+        spec.devices = *devices::parse_backend(spec.backend_name);
+        config.node_specs.push_back(std::move(spec));
+      }
+      Planner planner(config, 0, config.nodes);
+      const Fleet fleet(config.nodes,
+                        policy == PlacementPolicy::kColocationAware ? 2 : 1);
+      CountingResolver resolver(config);
+      auto plan = planner.plan(resolver, fleet, window, 0, false);
+      ASSERT_TRUE(plan.has_value()) << plan.error().message;
+      if (mixed) {
+        EXPECT_LE(resolver.profile_calls, 4u);
+      } else {
+        EXPECT_EQ(resolver.profile_calls, 1u);
+      }
+      ASSERT_EQ(plan->steps.size(), 1u);
+      const PlacementCandidate& step = plan->steps.front().candidate;
+      ASSERT_NE(step.profile, nullptr);
+      if (mixed) {
+        EXPECT_EQ(step.profile->device_fingerprint,
+                  config.node_specs[step.ref.node].devices.fingerprint());
+      }
+    }
+  }
 }
 
 TEST(PlannerCacheKey, DeviceFingerprintsKeyThePlan) {

@@ -109,8 +109,7 @@ int main(int argc, char** argv) {
   flags.add_int("cache-capacity", 1024, "profile cache capacity (classes)");
   flags.add_int("planner-window", 1,
                 "lookahead window: submissions planned jointly per "
-                "scheduler wake-up (1 = classic greedy, byte-identical to "
-                "the pre-planner scheduler)");
+                "scheduler wake-up (1 = the queue head alone)");
   flags.add_bool("plan-cache", false,
                  "memoize window plans keyed on (window class sequence x "
                  "fleet/device/residency state); schedules are unchanged, "
