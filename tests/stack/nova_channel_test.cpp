@@ -32,7 +32,92 @@ class NovaChannelTest : public ::testing::Test {
     engine_.run_to_completion();
     return out;
   }
+
+  /// What a scripted channel leaves on media.
+  struct MediaImage {
+    std::uint64_t digest = 0;  // of the bytes [0, high_water())
+    Bytes reserved = 0;
+    Bytes high_water = 0;
+  };
+
+  /// Runs five versions over `ranks` ranks on a fresh device: every
+  /// rank writes (real objects, synthetic objects and synthetic runs
+  /// rotate by rank and version), the version commits, every rank reads
+  /// it back, and versions older than the last two are recycled. Ends
+  /// with a directory compaction and a filesystem crash and recovery.
+  /// high_water() >= reserved(), so the digest also covers the extents
+  /// that unlinks and compaction released below the mark.
+  static MediaImage scripted_media_image(std::uint32_t ranks) {
+    sim::Engine engine;
+    devices::OptaneDevice device{engine, /*socket=*/0, 8ULL * kGiB};
+    NovaChannel channel{device, "pinned", ranks};
+    const auto read_all = [&](std::uint64_t version) {
+      std::vector<SnapshotPart> parts(ranks);
+      for (std::uint32_t r = 0; r < ranks; ++r) {
+        engine.spawn(channel.read_part(/*from=*/1, version, r, parts[r], 0.0));
+      }
+      engine.run_to_completion();
+      EXPECT_EQ(channel.stats().checksum_failures, 0u);
+    };
+    for (std::uint64_t v = 1; v <= 5; ++v) {
+      for (std::uint32_t r = 0; r < ranks; ++r) {
+        const std::uint64_t seed = derive_seed(v, r);
+        const auto objects = static_cast<std::uint64_t>(1 + r % 3);
+        SnapshotPart part;
+        if ((r + v) % 3 == 0) {
+          std::vector<ObjectData> real;
+          for (std::uint64_t i = 0; i < objects; ++i) {
+            real.push_back({i, Payload::real(Payload::generate_bytes(
+                                   derive_seed(seed, i), 256 + 64 * r))});
+          }
+          part = std::move(real);
+        } else if ((r + v) % 3 == 1) {
+          std::vector<ObjectData> synthetic;
+          for (std::uint64_t i = 0; i < objects; ++i) {
+            synthetic.push_back(
+                {i, Payload::synthetic(derive_seed(seed, i), 2048 + 8 * r)});
+          }
+          part = std::move(synthetic);
+        } else {
+          part = SyntheticRun{.first_index = 10 * v,
+                              .count = 4 + r,
+                              .object_size = 4608,
+                              .base_seed = derive_seed(v, r, 7)};
+        }
+        engine.spawn(channel.write_part(/*from=*/0, v, r, std::move(part),
+                                        0.0));
+      }
+      engine.run_to_completion();
+      channel.commit_version(v);
+      read_all(v);
+      if (v >= 3) channel.recycle_version(v - 2);
+    }
+    NovaFs& fs = channel.filesystem();
+    EXPECT_GT(fs.compact_directory(), 0u);
+    fs.drop_volatile_state();
+    EXPECT_TRUE(fs.recover().has_value());
+    read_all(5);
+
+    const pmemsim::PmemSpace& space = device.space();
+    std::vector<std::byte> bytes(static_cast<std::size_t>(space.high_water()));
+    space.read(0, bytes);
+    return {hash_bytes(bytes), space.reserved(), space.high_water()};
+  }
 };
+
+TEST_F(NovaChannelTest, OnMediaImageIsPinned) {
+  // Captured once; the dirent, extent-record and index-entry layouts,
+  // their CRCs, the chain relinks, the unlink tombstones, compaction and
+  // the extent reuse after recycling must all leave exactly these bytes.
+  const MediaImage eight = scripted_media_image(8);
+  EXPECT_EQ(eight.digest, 0xb4430e9aa1f8fae7ULL);
+  EXPECT_EQ(eight.reserved, 248'984u);
+  EXPECT_EQ(eight.high_water, 400'760u);
+  const MediaImage twenty_four = scripted_media_image(24);
+  EXPECT_EQ(twenty_four.digest, 0xb03be9988e7ec518ULL);
+  EXPECT_EQ(twenty_four.reserved, 1'259'840u);
+  EXPECT_EQ(twenty_four.high_water, 2'083'320u);
+}
 
 TEST_F(NovaChannelTest, RealObjectsRoundTrip) {
   std::vector<ObjectData> objects;
