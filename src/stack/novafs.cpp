@@ -55,12 +55,9 @@ Expected<Ok> NovaFs::load_superblock() {
   return ok_status();
 }
 
-Expected<pmemsim::PmemOffset> NovaFs::persist_dirent(
-    const DirentRecord& record) {
+void NovaFs::write_dirent(pmemsim::PmemOffset offset,
+                          const DirentRecord& record) {
   PMEMFLOW_ASSERT(record.name.size() <= kMaxNameLength);
-  auto offset = device_.space().reserve(kDirentRecordSize);
-  if (!offset.has_value()) return Unexpected{offset.error()};
-
   ByteWriter writer;
   writer.u64(kDirentMagic);
   writer.u64(record.inode);
@@ -73,8 +70,7 @@ Expected<pmemsim::PmemOffset> NovaFs::persist_dirent(
   writer.bytes(name_bytes);
   writer.u64(hash_bytes(writer.view()));
   PMEMFLOW_ASSERT(writer.size() == kDirentRecordSize);
-  device_.space().write(*offset, writer.view());
-  return *offset;
+  device_.space().write(offset, writer.view());
 }
 
 Expected<NovaFs::DirentRecord> NovaFs::load_dirent(
@@ -109,19 +105,29 @@ void NovaFs::relink_dirent(pmemsim::PmemOffset offset,
   auto record = load_dirent(offset);
   PMEMFLOW_ASSERT_MSG(record.has_value(), "novafs: relink target unreadable");
   record->next = next;
-  // Rewrite in place (same reserved extent).
-  ByteWriter writer;
-  writer.u64(kDirentMagic);
-  writer.u64(record->inode);
-  writer.u32(record->tombstone ? 1u : 0u);
-  writer.u32(static_cast<std::uint32_t>(record->name.size()));
-  writer.u64(record->inode_chain_head);
-  writer.u64(record->next);
-  std::vector<std::byte> name_bytes(kMaxNameLength, std::byte{0});
-  std::memcpy(name_bytes.data(), record->name.data(), record->name.size());
-  writer.bytes(name_bytes);
-  writer.u64(hash_bytes(writer.view()));
-  device_.space().write(offset, writer.view());
+  write_dirent(offset, *record);  // in place: same reserved extent
+}
+
+Expected<pmemsim::PmemOffset> NovaFs::link_dirent(const DirentRecord& record,
+                                                  pmemsim::PmemOffset& head,
+                                                  pmemsim::PmemOffset& tail) {
+  auto offset = device_.space().reserve(kDirentRecordSize);
+  if (!offset.has_value()) return Unexpected{offset.error()};
+  write_dirent(*offset, record);
+  if (tail == 0) {
+    head = *offset;
+  } else {
+    relink_dirent(tail, *offset);
+  }
+  tail = *offset;
+  return *offset;
+}
+
+Expected<Ok> NovaFs::append_dirent(const DirentRecord& record) {
+  auto offset = link_dirent(record, dir_head_, dir_tail_);
+  if (!offset.has_value()) return Unexpected{offset.error()};
+  persist_superblock();
+  return ok_status();
 }
 
 Expected<NovaFs::InodeId> NovaFs::create(std::string_view path) {
@@ -136,16 +142,8 @@ Expected<NovaFs::InodeId> NovaFs::create(std::string_view path) {
   DirentRecord record;
   record.name = std::string(path);
   record.inode = id;
-  auto offset = persist_dirent(record);
-  if (!offset.has_value()) return Unexpected{offset.error()};
-
-  if (dir_tail_ == 0) {
-    dir_head_ = *offset;
-  } else {
-    relink_dirent(dir_tail_, *offset);
-  }
-  dir_tail_ = *offset;
-  persist_superblock();
+  auto appended = append_dirent(record);
+  if (!appended.has_value()) return Unexpected{appended.error()};
 
   names_.emplace(record.name, id);
   Inode inode;
@@ -241,14 +239,11 @@ Expected<Ok> NovaFs::append_extent(InodeId inode_id, Bytes size,
 
   if (inode.chain_tail == 0) {
     inode.chain_head = *record_offset;
-    // The dirent carries the inode chain head; rewrite it. Finding the
-    // dirent means scanning in a real FS; here the volatile inode keeps
-    // no back pointer, so persist via a fresh dirent update record.
+    // The dirent carries the inode chain head, so a fresh chain head is
+    // persisted as a dirent "update" append. (Real NOVA updates the
+    // inode in place; the append keeps our recovery single-pass.) The
+    // volatile inode keeps no back pointer to its name.
     DirentRecord update;
-    update.name.clear();  // handled below via named record
-    // A fresh chain head is persisted as a dirent "update" append.
-    // (Real NOVA updates the inode in place; the append keeps our
-    // recovery single-pass.)
     for (const auto& [name, id] : names_) {
       if (id == inode_id) {
         update.name = name;
@@ -259,11 +254,8 @@ Expected<Ok> NovaFs::append_extent(InodeId inode_id, Bytes size,
                         "novafs: inode without directory entry");
     update.inode = inode_id;
     update.inode_chain_head = *record_offset;
-    auto dirent_offset = persist_dirent(update);
-    if (!dirent_offset.has_value()) return Unexpected{dirent_offset.error()};
-    relink_dirent(dir_tail_, *dirent_offset);
-    dir_tail_ = *dirent_offset;
-    persist_superblock();
+    auto appended = append_dirent(update);
+    if (!appended.has_value()) return appended;
   } else {
     auto previous = load_extent_record(inode.chain_tail);
     PMEMFLOW_ASSERT_MSG(previous.has_value(),
@@ -371,16 +363,12 @@ Expected<Ok> NovaFs::unlink(std::string_view path) {
     record = next;
   }
 
-  // Tombstone dirent append.
   DirentRecord tombstone;
   tombstone.name = name_it->first;
   tombstone.inode = inode_id;
   tombstone.tombstone = true;
-  auto offset = persist_dirent(tombstone);
-  if (!offset.has_value()) return Unexpected{offset.error()};
-  relink_dirent(dir_tail_, *offset);
-  dir_tail_ = *offset;
-  persist_superblock();
+  auto appended = append_dirent(tombstone);
+  if (!appended.has_value()) return appended;
 
   names_.erase(name_it);
   inodes_.erase(inode_id);
@@ -433,15 +421,9 @@ std::size_t NovaFs::compact_directory() {
     record.name = name;
     record.inode = inode_id;
     record.inode_chain_head = inode.chain_head;
-    auto persisted = persist_dirent(record);
-    PMEMFLOW_ASSERT_MSG(persisted.has_value(),
+    auto linked = link_dirent(record, new_head, new_tail);
+    PMEMFLOW_ASSERT_MSG(linked.has_value(),
                         "novafs: compaction ran out of space");
-    if (new_tail == 0) {
-      new_head = *persisted;
-    } else {
-      relink_dirent(new_tail, *persisted);
-    }
-    new_tail = *persisted;
   }
   dir_head_ = new_head;
   dir_tail_ = new_tail;

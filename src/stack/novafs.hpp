@@ -155,9 +155,17 @@ class NovaFs {
   void persist_superblock();
   Expected<Ok> load_superblock();
 
-  Expected<pmemsim::PmemOffset> persist_dirent(const DirentRecord& record);
+  /// The one dirent encoder: writes `record` at `offset`.
+  void write_dirent(pmemsim::PmemOffset offset, const DirentRecord& record);
   Expected<DirentRecord> load_dirent(pmemsim::PmemOffset offset) const;
   void relink_dirent(pmemsim::PmemOffset offset, pmemsim::PmemOffset next);
+  /// Persists `record` in a fresh extent and links it after `tail` (as
+  /// `head` when the chain is empty); returns its offset.
+  Expected<pmemsim::PmemOffset> link_dirent(const DirentRecord& record,
+                                            pmemsim::PmemOffset& head,
+                                            pmemsim::PmemOffset& tail);
+  /// Links `record` at the directory's tail and persists the superblock.
+  Expected<Ok> append_dirent(const DirentRecord& record);
 
   void persist_extent_record(pmemsim::PmemOffset offset,
                              const ExtentRecord& record);
