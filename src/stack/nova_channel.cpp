@@ -10,271 +10,97 @@ namespace pmemflow::stack {
 
 namespace {
 
-struct IndexEntry {
-  bool synthetic = false;
-  bool is_run = false;
-  std::uint64_t first_index = 0;
-  std::uint64_t count = 0;
-  Bytes object_size = 0;
-  std::uint64_t seed = 0;
-  std::uint64_t checksum = 0;
-  std::uint64_t dat_offset = 0;  // offset within the .dat file
-};
+/// Path of one (version, rank) file: `kind` is "idx" or "dat".
+std::string part_path(std::uint64_t version, std::uint32_t rank,
+                      const char* kind) {
+  return format("v%llu/r%u.%s", static_cast<unsigned long long>(version),
+                rank, kind);
+}
 
 }  // namespace
 
 NovaChannel::NovaChannel(devices::MemoryDevice& device, std::string name,
                          std::uint32_t num_ranks, SoftwareCostModel costs)
-    : device_(device),
-      name_(std::move(name)),
-      num_ranks_(num_ranks),
-      costs_(costs),
-      fs_(device) {
-  PMEMFLOW_ASSERT_MSG(num_ranks_ >= 1, "need at least one rank");
-}
+    : StreamChannel(device, std::move(name), num_ranks, costs, "nova"),
+      fs_(device) {}
 
-std::string NovaChannel::idx_path(std::uint64_t version,
-                                  std::uint32_t rank) const {
-  return format("v%llu/r%u.idx", static_cast<unsigned long long>(version),
-                rank);
-}
-
-std::string NovaChannel::dat_path(std::uint64_t version,
-                                  std::uint32_t rank) const {
-  return format("v%llu/r%u.dat", static_cast<unsigned long long>(version),
-                rank);
-}
-
-sim::Task NovaChannel::write_part(topo::SocketId from, std::uint64_t version,
-                                  std::uint32_t rank, SnapshotPart part,
-                                  double compute_ns_per_op) {
-  PMEMFLOW_ASSERT(rank < num_ranks_);
-  PMEMFLOW_ASSERT_MSG(version > committed_version_,
-                      "writing to an already committed version");
-
-  const Bytes total = part_bytes(part);
-  const std::uint64_t object_count = part_object_count(part);
-  const Bytes op_size = part_op_size(part);
-
-  if (total > 0) {
-    sim::FlowSpec spec;
-    spec.kind = sim::IoKind::kWrite;
-    spec.total_bytes = total;
-    spec.op_size = op_size;
-    spec.sw_ns_per_op = costs_.write_op_cost(op_size);
-    spec.compute_ns_per_op = compute_ns_per_op;
-    co_await device_.io(from, spec);
-  }
-
-  auto idx = fs_.create(idx_path(version, rank));
-  if (!idx.has_value()) throw std::runtime_error(idx.error().message);
-  auto dat = fs_.create(dat_path(version, rank));
-  if (!dat.has_value()) throw std::runtime_error(dat.error().message);
-
-  const auto append_entry = [&](const IndexEntry& entry) {
+void NovaChannel::store_part(std::uint64_t version, std::uint32_t rank,
+                             std::span<PartEntry> entries,
+                             std::span<const ObjectData> objects) {
+  const auto idx = checked(fs_.create(part_path(version, rank, "idx")));
+  const auto dat = checked(fs_.create(part_path(version, rank, "dat")));
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    PartEntry& entry = entries[i];
+    if (entry.synthetic) {
+      entry.payload_offset = checked(
+          fs_.append_hole(dat, std::max<Bytes>(1, entry.payload_bytes())));
+    } else {
+      entry.payload_offset = checked(fs_.file_size(dat));
+      checked(fs_.append(dat, objects[i].payload.bytes()));
+    }
     ByteWriter writer;
     writer.u64(kIndexEntryMagic);
-    writer.u32((entry.synthetic ? 1u : 0u) | (entry.is_run ? 2u : 0u));
+    writer.u32(entry.flags());
     writer.u32(0);
     writer.u64(entry.first_index);
     writer.u64(entry.count);
     writer.u64(entry.object_size);
     writer.u64(entry.seed);
     writer.u64(entry.checksum);
-    writer.u64(entry.dat_offset);
+    writer.u64(entry.payload_offset);
     writer.u64(hash_bytes(writer.view()));
     PMEMFLOW_ASSERT(writer.size() == kIndexEntrySize);
-    auto appended = fs_.append(*idx, writer.view());
-    if (!appended.has_value()) {
-      throw std::runtime_error(appended.error().message);
-    }
-  };
-
-  if (const auto* run = std::get_if<SyntheticRun>(&part)) {
-    auto hole = fs_.append_hole(*dat, std::max<Bytes>(1, run->total_bytes()));
-    if (!hole.has_value()) throw std::runtime_error(hole.error().message);
-    IndexEntry entry;
-    entry.synthetic = true;
-    entry.is_run = true;
-    entry.first_index = run->first_index;
-    entry.count = run->count;
-    entry.object_size = run->object_size;
-    entry.seed = run->base_seed;
-    entry.checksum = run->combined_checksum();
-    entry.dat_offset = *hole;
-    append_entry(entry);
-  } else {
-    for (const ObjectData& object :
-         std::get<std::vector<ObjectData>>(part)) {
-      IndexEntry entry;
-      entry.synthetic = object.payload.is_synthetic();
-      entry.first_index = object.index;
-      entry.count = 1;
-      entry.object_size = object.payload.size();
-      entry.seed = object.payload.seed();
-      entry.checksum = object.payload.checksum();
-      if (entry.synthetic) {
-        auto hole = fs_.append_hole(
-            *dat, std::max<Bytes>(1, object.payload.size()));
-        if (!hole.has_value()) throw std::runtime_error(hole.error().message);
-        entry.dat_offset = *hole;
-      } else {
-        auto size = fs_.file_size(*dat);
-        PMEMFLOW_ASSERT(size.has_value());
-        entry.dat_offset = *size;
-        auto appended = fs_.append(*dat, object.payload.bytes());
-        if (!appended.has_value()) {
-          throw std::runtime_error(appended.error().message);
-        }
-      }
-      append_entry(entry);
-    }
+    checked(fs_.append(idx, writer.view()));
   }
-
-  stats_.objects_written += object_count;
-  stats_.payload_bytes_written += total;
 }
 
-void NovaChannel::commit_version(std::uint64_t version) {
-  PMEMFLOW_ASSERT_MSG(version == committed_version_ + 1,
-                      "versions must be committed in order");
-  committed_version_ = version;
-  ++stats_.versions_committed;
-}
-
-sim::Task NovaChannel::read_part(topo::SocketId from, std::uint64_t version,
-                                 std::uint32_t rank, SnapshotPart& out,
-                                 double compute_ns_per_op) {
-  PMEMFLOW_ASSERT(rank < num_ranks_);
-  if (version > committed_version_) {
-    throw std::runtime_error(
-        format("nova: version %llu not committed",
-               static_cast<unsigned long long>(version)));
-  }
-  if (version < min_live_version_) {
-    throw std::runtime_error(
-        format("nova: version %llu already recycled",
-               static_cast<unsigned long long>(version)));
-  }
-
-  auto idx = fs_.lookup(idx_path(version, rank));
-  if (!idx.has_value()) throw std::runtime_error(idx.error().message);
-  auto dat = fs_.lookup(dat_path(version, rank));
-  if (!dat.has_value()) throw std::runtime_error(dat.error().message);
-
-  // Parse the index file.
-  auto idx_size = fs_.file_size(*idx);
-  PMEMFLOW_ASSERT(idx_size.has_value());
-  PMEMFLOW_ASSERT_MSG(*idx_size % kIndexEntrySize == 0,
+std::vector<PartEntry> NovaChannel::load_part(std::uint64_t version,
+                                              std::uint32_t rank) const {
+  const auto idx = checked(fs_.lookup(part_path(version, rank, "idx")));
+  const Bytes size = checked(fs_.file_size(idx));
+  PMEMFLOW_ASSERT_MSG(size % kIndexEntrySize == 0,
                       "nova: index file size corrupt");
-  std::vector<std::byte> raw(static_cast<std::size_t>(*idx_size));
-  auto read_ok = fs_.read(*idx, 0, raw);
-  if (!read_ok.has_value()) throw std::runtime_error(read_ok.error().message);
+  std::vector<std::byte> raw(static_cast<std::size_t>(size));
+  checked(fs_.read(idx, 0, raw));
 
-  std::vector<IndexEntry> entries;
-  Bytes total = 0;
-  std::uint64_t object_count = 0;
+  std::vector<PartEntry> entries;
+  entries.reserve(raw.size() / kIndexEntrySize);
   for (std::size_t pos = 0; pos < raw.size(); pos += kIndexEntrySize) {
     ByteReader reader{std::span(raw).subspan(pos, kIndexEntrySize)};
     if (reader.u64() != kIndexEntryMagic) {
       throw std::runtime_error("nova: bad index entry magic");
     }
-    IndexEntry entry;
-    const std::uint32_t entry_flags = reader.u32();
-    entry.synthetic = (entry_flags & 1u) != 0;
-    entry.is_run = (entry_flags & 2u) != 0;
+    PartEntry entry;
+    entry.set_flags(reader.u32());
     (void)reader.u32();
     entry.first_index = reader.u64();
     entry.count = reader.u64();
     entry.object_size = reader.u64();
     entry.seed = reader.u64();
     entry.checksum = reader.u64();
-    entry.dat_offset = reader.u64();
+    entry.payload_offset = reader.u64();
     const auto body = std::span(raw).subspan(pos, kIndexEntrySize - 8);
     if (reader.u64() != hash_bytes(body)) {
       throw std::runtime_error("nova: index entry CRC mismatch");
     }
-    total += entry.count * entry.object_size;
-    object_count += entry.count;
     entries.push_back(entry);
   }
-
-  if (total > 0) {
-    const Bytes per_op =
-        std::max<Bytes>(1, total / std::max<std::uint64_t>(1, object_count));
-    sim::FlowSpec spec;
-    spec.kind = sim::IoKind::kRead;
-    spec.total_bytes = total;
-    spec.op_size = per_op;
-    spec.sw_ns_per_op = costs_.read_op_cost(per_op);
-    spec.compute_ns_per_op = compute_ns_per_op;
-    co_await device_.io(from, spec);
-  }
-
-  for (const IndexEntry& entry : entries) {
-    if (entry.is_run && entries.size() > 1) {
-      throw std::runtime_error(
-          "nova: mixed run/object parts are not supported");
-    }
-  }
-  if (entries.size() == 1 && entries[0].is_run) {
-    const IndexEntry& entry = entries[0];
-    SyntheticRun run;
-    run.first_index = entry.first_index;
-    run.count = entry.count;
-    run.object_size = entry.object_size;
-    run.base_seed = entry.seed;
-    if (run.combined_checksum() != entry.checksum) {
-      ++stats_.checksum_failures;
-      throw std::runtime_error("nova: synthetic run checksum mismatch");
-    }
-    out = run;
-  } else {
-    std::vector<ObjectData> objects;
-    objects.reserve(entries.size());
-    for (const IndexEntry& entry : entries) {
-      ObjectData object;
-      object.index = entry.first_index;
-      if (entry.synthetic) {
-        object.payload = Payload::synthetic(entry.seed, entry.object_size);
-      } else {
-        std::vector<std::byte> bytes(
-            static_cast<std::size_t>(entry.object_size));
-        auto data_read = fs_.read(*dat, entry.dat_offset, bytes);
-        if (!data_read.has_value()) {
-          throw std::runtime_error(data_read.error().message);
-        }
-        object.payload = Payload::real(std::move(bytes));
-      }
-      if (object.payload.checksum() != entry.checksum) {
-        ++stats_.checksum_failures;
-        throw std::runtime_error(
-            format("nova: object %llu checksum mismatch",
-                   static_cast<unsigned long long>(entry.first_index)));
-      }
-      objects.push_back(std::move(object));
-    }
-    out = std::move(objects);
-  }
-
-  stats_.objects_read += object_count;
-  stats_.payload_bytes_read += total;
+  return entries;
 }
 
-void NovaChannel::recycle_version(std::uint64_t version) {
-  PMEMFLOW_ASSERT_MSG(version == min_live_version_,
-                      "versions must be recycled in order");
-  PMEMFLOW_ASSERT_MSG(version <= committed_version_,
-                      "cannot recycle an uncommitted version");
-  for (std::uint32_t rank = 0; rank < num_ranks_; ++rank) {
+void NovaChannel::read_payload(std::uint64_t version, std::uint32_t rank,
+                               const PartEntry& entry,
+                               std::span<std::byte> out) const {
+  const auto dat = checked(fs_.lookup(part_path(version, rank, "dat")));
+  checked(fs_.read(dat, entry.payload_offset, out));
+}
+
+void NovaChannel::release_version(std::uint64_t version) {
+  for (std::uint32_t rank = 0; rank < num_ranks(); ++rank) {
     // Parts may be absent if a rank wrote nothing for this version.
-    auto unlink_idx = fs_.unlink(idx_path(version, rank));
-    auto unlink_dat = fs_.unlink(dat_path(version, rank));
-    (void)unlink_idx;
-    (void)unlink_dat;
+    (void)fs_.unlink(part_path(version, rank, "idx"));
+    (void)fs_.unlink(part_path(version, rank, "dat"));
   }
-  ++min_live_version_;
-  ++stats_.versions_recycled;
 }
 
 }  // namespace pmemflow::stack

@@ -23,48 +23,25 @@ class NovaChannel final : public StreamChannel {
               std::uint32_t num_ranks,
               SoftwareCostModel costs = nova_cost_model());
 
-  [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] const SoftwareCostModel& cost_model() const override {
-    return costs_;
-  }
-  [[nodiscard]] devices::MemoryDevice& device() override { return device_; }
-  [[nodiscard]] const ChannelStats& stats() const override { return stats_; }
-
-  sim::Task write_part(topo::SocketId from, std::uint64_t version,
-                       std::uint32_t rank, SnapshotPart part,
-                       double compute_ns_per_op) override;
-  void commit_version(std::uint64_t version) override;
-  [[nodiscard]] std::uint64_t committed_version() const override {
-    return committed_version_;
-  }
-  sim::Task read_part(topo::SocketId from, std::uint64_t version,
-                      std::uint32_t rank, SnapshotPart& out,
-                      double compute_ns_per_op) override;
-  void recycle_version(std::uint64_t version) override;
-
   /// The underlying filesystem (tests inspect it directly).
   [[nodiscard]] NovaFs& filesystem() noexcept { return fs_; }
-  [[nodiscard]] std::uint32_t num_ranks() const noexcept {
-    return num_ranks_;
-  }
 
  private:
   static constexpr std::uint64_t kIndexEntryMagic = 0x4e4f5641'4f424a31ULL;
   static constexpr std::size_t kIndexEntrySize = 72;
 
-  [[nodiscard]] std::string idx_path(std::uint64_t version,
-                                     std::uint32_t rank) const;
-  [[nodiscard]] std::string dat_path(std::uint64_t version,
-                                     std::uint32_t rank) const;
+  // StreamChannel persistence:
+  void store_part(std::uint64_t version, std::uint32_t rank,
+                  std::span<PartEntry> entries,
+                  std::span<const ObjectData> objects) override;
+  [[nodiscard]] std::vector<PartEntry> load_part(
+      std::uint64_t version, std::uint32_t rank) const override;
+  void read_payload(std::uint64_t version, std::uint32_t rank,
+                    const PartEntry& entry,
+                    std::span<std::byte> out) const override;
+  void release_version(std::uint64_t version) override;
 
-  devices::MemoryDevice& device_;
-  std::string name_;
-  std::uint32_t num_ranks_;
-  SoftwareCostModel costs_;
   NovaFs fs_;
-  ChannelStats stats_;
-  std::uint64_t committed_version_ = 0;
-  std::uint64_t min_live_version_ = 1;
 };
 
 }  // namespace pmemflow::stack

@@ -16,10 +16,11 @@
 // tail and any records newer than the committed version — the same
 // guarantees the real NVStream derives from its log structure.
 //
-// Simulated-time costs: one software-overhead charge per object
-// (userspace metadata append; non-temporal stores on the write path)
-// plus the device transfer, all folded into a single fluid flow per
-// write_part/read_part call.
+// StreamChannel runs the protocol and charges simulated time: one fluid
+// flow per part, priced per object by nvstream_cost_model() (userspace
+// metadata append; non-temporal stores on the write path). This class
+// keeps only the layout above, its recovery and the superblock persist
+// on every commit and recycle.
 #pragma once
 
 #include <cstdint>
@@ -40,26 +41,6 @@ class NvStreamChannel final : public StreamChannel {
                   std::uint32_t num_ranks,
                   SoftwareCostModel costs = nvstream_cost_model());
 
-  // StreamChannel:
-  [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] const SoftwareCostModel& cost_model() const override {
-    return costs_;
-  }
-  [[nodiscard]] devices::MemoryDevice& device() override { return device_; }
-  [[nodiscard]] const ChannelStats& stats() const override { return stats_; }
-
-  sim::Task write_part(topo::SocketId from, std::uint64_t version,
-                       std::uint32_t rank, SnapshotPart part,
-                       double compute_ns_per_op) override;
-  void commit_version(std::uint64_t version) override;
-  [[nodiscard]] std::uint64_t committed_version() const override {
-    return committed_version_;
-  }
-  sim::Task read_part(topo::SocketId from, std::uint64_t version,
-                      std::uint32_t rank, SnapshotPart& out,
-                      double compute_ns_per_op) override;
-  void recycle_version(std::uint64_t version) override;
-
   // --- Recovery surface (exercised by failure-injection tests) ---
 
   /// Discards all volatile state, as a process crash would.
@@ -70,31 +51,12 @@ class NvStreamChannel final : public StreamChannel {
   /// truncated (that is the log-structured recovery contract).
   Status recover();
 
-  /// Oldest version whose storage is still live.
-  [[nodiscard]] std::uint64_t min_live_version() const {
-    return min_live_version_;
-  }
-
-  [[nodiscard]] std::uint32_t num_ranks() const noexcept {
-    return num_ranks_;
-  }
-
  private:
+  /// One log record: a part entry plus its place in the rank's chain.
   struct Record {
     std::uint64_t version = 0;
     std::uint32_t rank = 0;
-    bool synthetic = false;
-    /// True when the record describes a SyntheticRun (its checksum
-    /// is the run's combined checksum, not a per-object one) -- a
-    /// run of count 1 is still a run.
-    bool is_run = false;
-    std::uint64_t first_index = 0;
-    std::uint64_t count = 0;
-    Bytes object_size = 0;
-    std::uint64_t seed = 0;
-    std::uint64_t checksum = 0;
-    pmemsim::PmemOffset payload_offset = 0;
-    Bytes payload_bytes = 0;
+    PartEntry entry;
     pmemsim::PmemOffset next_offset = 0;
   };
 
@@ -104,6 +66,18 @@ class NvStreamChannel final : public StreamChannel {
   static constexpr Bytes kRecordSize = 96;
   static constexpr std::uint32_t kMaxRanks = 256;
 
+  // StreamChannel persistence:
+  void store_part(std::uint64_t version, std::uint32_t rank,
+                  std::span<PartEntry> entries,
+                  std::span<const ObjectData> objects) override;
+  [[nodiscard]] std::vector<PartEntry> load_part(
+      std::uint64_t version, std::uint32_t rank) const override;
+  void read_payload(std::uint64_t version, std::uint32_t rank,
+                    const PartEntry& entry,
+                    std::span<std::byte> out) const override;
+  void release_version(std::uint64_t version) override;
+  void persist_versions() override { persist_superblock(); }
+
   void persist_superblock();
   Expected<Ok> load_superblock();
   void persist_record(pmemsim::PmemOffset offset, const Record& record);
@@ -111,15 +85,7 @@ class NvStreamChannel final : public StreamChannel {
   /// Appends a record to `rank`'s chain; returns its offset.
   Expected<pmemsim::PmemOffset> append_record(Record record);
 
-  devices::MemoryDevice& device_;
-  std::string name_;
-  std::uint32_t num_ranks_;
-  SoftwareCostModel costs_;
-  ChannelStats stats_;
-
   pmemsim::PmemOffset superblock_offset_ = 0;
-  std::uint64_t committed_version_ = 0;
-  std::uint64_t min_live_version_ = 1;
   std::vector<pmemsim::PmemOffset> head_;  // per rank, 0 = empty
   std::vector<pmemsim::PmemOffset> tail_;
 
