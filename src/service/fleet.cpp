@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/assert.hpp"
 
@@ -110,6 +111,19 @@ SimTime Fleet::earliest_free_ns() const noexcept {
     for (const SlotState& s : n.slots) {
       earliest = std::min(earliest, s.free_at_ns);
     }
+  }
+  return earliest;
+}
+
+SimTime Fleet::earliest_node_free_ns() const noexcept {
+  PMEMFLOW_ASSERT(!nodes_.empty());
+  SimTime earliest = std::numeric_limits<SimTime>::max();
+  for (const NodeState& n : nodes_) {
+    SimTime node_free = 0;
+    for (const SlotState& s : n.slots) {
+      node_free = std::max(node_free, s.free_at_ns);
+    }
+    earliest = std::min(earliest, node_free);
   }
   return earliest;
 }

@@ -189,6 +189,12 @@ class Fleet {
   /// preemption decision rule.
   [[nodiscard]] SimTime earliest_free_ns() const noexcept;
 
+  /// Earliest time some node has every slot free (the latest free_at_ns
+  /// of its slots, minimized over nodes). Equals earliest_free_ns() with
+  /// one tenant per node. Used by the preemption decision rule: a free
+  /// slot beside a running tenant may be unusable to the urgent head.
+  [[nodiscard]] SimTime earliest_node_free_ns() const noexcept;
+
   /// True when some node is *fully* idle at `now` (every slot free):
   /// exactly when idle_nodes() would be non-empty. A slot whose finish
   /// event has reached its timestamp but not yet fired (running task

@@ -502,13 +502,13 @@ void Region::maybe_preempt(SimTime now) {
     return;
   }
 
-  // With one tenant per node, maybe_preempt is only reached when every
-  // slot is busy. Under co-location a slot can be free yet unusable
-  // (incompatible incumbent); preemption cannot help there — the urgent
-  // waits for a departure instead.
-  const SimTime earliest_free = fleet_.earliest_free_ns();
-  if (earliest_free <= now) return;
-  const SimDuration wait_without = earliest_free - now;
+  // Without preempting, the urgent head waits for a whole node to free.
+  // Under co-location a slot can be free yet unusable to it (beside an
+  // incompatible incumbent or any DAG), so the earliest free slot says
+  // nothing; with one tenant per node the two times are equal.
+  const SimTime node_free = fleet_.earliest_node_free_ns();
+  if (node_free <= now) return;
+  const SimDuration wait_without = node_free - now;
 
   // Decision rule: preempting makes the urgent wait only for the
   // checkpoint drain, so it saves (wait_without - checkpoint). Displace

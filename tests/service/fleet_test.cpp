@@ -43,6 +43,24 @@ TEST(Fleet, EarliestFreeOnFreshFleetIsNow) {
   EXPECT_TRUE(fleet.has_idle_node(0));
 }
 
+TEST(Fleet, EarliestNodeFreeWaitsForEverySlotOfANode) {
+  // Under co-location the free slot beside node 0's tenant is free now,
+  // but no node is whole before node 0's tenant finishes.
+  Fleet packed(2, 2);
+  packed.start(SlotRef{0, 0}, 0, 100, task_with_work(100));
+  packed.start(SlotRef{1, 0}, 0, 300, task_with_work(300));
+  packed.start(SlotRef{1, 1}, 0, 200, task_with_work(200));
+  EXPECT_EQ(packed.earliest_free_ns(), 0u);
+  EXPECT_EQ(packed.earliest_node_free_ns(), 100u);
+
+  // With one tenant per node the two queries agree.
+  Fleet solo(2);
+  solo.start(SlotRef{0, 0}, 0, 100, task_with_work(100));
+  solo.start(SlotRef{1, 0}, 0, 50, task_with_work(50));
+  EXPECT_EQ(solo.earliest_node_free_ns(), 50u);
+  EXPECT_EQ(solo.earliest_free_ns(), 50u);
+}
+
 TEST(Fleet, UtilizationClampsDrainPastHorizon) {
   // Regression: busy time extending past the horizon (e.g. a checkpoint
   // drain scheduled beyond the last completion) used to push

@@ -1,10 +1,10 @@
 // One mixed service stream, pinned end to end. Each case runs it under
 // one service configuration that reaches a distinct start or profile
-// resolution path — co-location packs on a two-backend fleet, a
-// migrated checkpoint resume, bounded pools with eviction, staging and
-// retain-2 GC, DAGs under a spread policy and under kDagFusion, window
-// 1 and window 4 with the plan cache on, four regions whose epoch
-// barriers steal — and pins three digests:
+// resolution path — co-location packs and preempts on a two-backend
+// fleet, a migrated checkpoint resume, bounded pools with eviction,
+// staging and retain-2 GC, DAGs under a spread policy and under
+// kDagFusion, window 1 and window 4 with the plan cache on, four
+// regions whose epoch barriers steal — and pins three digests:
 //
 //   records — all 20 CompletionRecord fields of every completion;
 //   metrics — every ServiceMetrics counter plus InterferenceStats;
@@ -198,8 +198,8 @@ std::vector<PinCase> pin_cases() {
     PinCase c{"colocation_two_backends",
               base_config(PlacementPolicy::kColocationAware),
               Reaches::kPacks,
-              0x85bbf8f0e9f28b59ULL, 0xfdb969626c103c5eULL,
-              0x0ef4ba7b220187c7ULL};
+              0x67d5b31597dfd4ebULL, 0xd2517684f63562c9ULL,
+              0x234857b5cfe7c102ULL};
     c.config.nodes = 4;
     two_backends(c.config);
     cases.push_back(std::move(c));
@@ -258,8 +258,8 @@ std::vector<PinCase> pin_cases() {
     PinCase c{"window4_plan_cache_colocation",
               base_config(PlacementPolicy::kColocationAware),
               Reaches::kPlanCacheHits,
-              0x9fc17278eb342bb4ULL, 0x3e4f82ad7564bcf0ULL,
-              0x53fa5aba9fc785aeULL};
+              0x1f91e6ef443c370aULL, 0xce322eda3996b838ULL,
+              0x22bc54ff52ee6c7eULL};
     c.config.planner.window = 4;
     c.config.planner.plan_cache = true;
     cases.push_back(std::move(c));
@@ -397,6 +397,7 @@ void expect_reaches(Reaches reaches, const ServiceMetrics& m) {
   switch (reaches) {
     case Reaches::kPacks:
       EXPECT_GT(m.colocations, 0u);
+      EXPECT_GT(m.preemptions, 0u);  // co-location preempts too
       break;
     case Reaches::kMigratedResume:
       EXPECT_GT(m.preemptions, 0u);
