@@ -7,9 +7,9 @@
 //     small-access thrash)
 // DESIGN.md §5 calls these design choices out; this bench is their
 // ablation study.
-#include <cstring>
 #include <iostream>
 
+#include "bench/common.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "core/executor.hpp"
@@ -57,10 +57,9 @@ std::vector<Variant> variants() {
 int main(int argc, char** argv) {
   using namespace pmemflow;
   std::string csv_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
-      csv_path = argv[++i];
-    }
+  if (const auto exit_code = bench::parse_csv_flag(
+          argc, argv, "Model ablation: contention mechanisms", csv_path)) {
+    return *exit_code;
   }
 
   std::cout << "=== Model ablation: contention mechanisms ===\n\n";

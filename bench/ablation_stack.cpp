@@ -4,9 +4,9 @@
 // the same configuration trends on both stacks; small-object workflows
 // shift because NOVA's per-op syscall/journal overhead changes the
 // effective PMEM concurrency.
-#include <cstring>
 #include <iostream>
 
+#include "bench/common.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "core/executor.hpp"
@@ -16,10 +16,9 @@
 int main(int argc, char** argv) {
   using namespace pmemflow;
   std::string csv_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
-      csv_path = argv[++i];
-    }
+  if (const auto exit_code = bench::parse_csv_flag(
+          argc, argv, "Stack ablation: NVStream vs NOVA", csv_path)) {
+    return *exit_code;
   }
 
   std::cout << "=== Stack ablation: NVStream vs NOVA (paper SVII) ===\n\n";

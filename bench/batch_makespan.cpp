@@ -5,9 +5,9 @@
 // PMEM-unaware scheduler costs versus Table II, the model-based
 // scheduler, and the oracle. This quantifies the end-to-end value of
 // the paper's recommendations in an actual scheduling loop.
-#include <cstring>
 #include <iostream>
 
+#include "bench/common.hpp"
 #include "common/csv.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
@@ -17,10 +17,10 @@
 int main(int argc, char** argv) {
   using namespace pmemflow;
   std::string csv_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
-      csv_path = argv[++i];
-    }
+  if (const auto exit_code = bench::parse_csv_flag(
+          argc, argv, "Batch scheduling: makespan of the 18-workflow suite",
+          csv_path)) {
+    return *exit_code;
   }
 
   std::cout << "=== Batch scheduling: makespan of the 18-workflow suite "

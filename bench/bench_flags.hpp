@@ -1,5 +1,4 @@
-// Command-line handling shared by perf_service, service_gates and
-// whatif_devices.
+// Command-line handling shared by every bench and by tools/calibrate.
 //
 // A bench must not run its default (large) stream on a typo: an unknown
 // flag, a non-numeric or missing value, a stray argument, or a count

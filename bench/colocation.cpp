@@ -6,9 +6,9 @@
 // tenant suffers versus running alone, across channel-placement
 // choices — the first question a multi-tenant PMEM scheduler must
 // answer (do tenants' channels share a socket or split?).
-#include <cstring>
 #include <iostream>
 
+#include "bench/common.hpp"
 #include "common/csv.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
@@ -34,10 +34,10 @@ workflow::RunOptions deploy(topo::SocketId channel) {
 int main(int argc, char** argv) {
   using namespace pmemflow;
   std::string csv_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
-      csv_path = argv[++i];
-    }
+  if (const auto exit_code = bench::parse_csv_flag(
+          argc, argv, "Extension: co-located workflows sharing node PMEM",
+          csv_path)) {
+    return *exit_code;
   }
 
   std::cout << "=== Extension: co-located workflows sharing node PMEM "

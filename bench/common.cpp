@@ -1,24 +1,41 @@
 #include "bench/common.hpp"
 
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 
+#include "bench/bench_flags.hpp"
 #include "common/strings.hpp"
 #include "metrics/report.hpp"
 
 namespace pmemflow::bench {
 
-int run_figure(int argc, char** argv, const FigureSpec& figure) {
-  std::string csv_path;
-  bool quiet = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
-      csv_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--quiet") == 0) {
-      quiet = true;
-    }
+namespace {
+
+constexpr const char* kCsvHelp = "also write the results to this CSV file";
+
+}  // namespace
+
+std::optional<int> parse_csv_flag(int argc, char** argv,
+                                  std::string description,
+                                  std::string& csv_path) {
+  FlagParser flags(std::move(description));
+  flags.add_string("csv", "", kCsvHelp);
+  if (auto exit_code = parse_bench_flags(flags, argc, argv, {})) {
+    return exit_code;
   }
+  csv_path = flags.get_string("csv");
+  return std::nullopt;
+}
+
+int run_figure(int argc, char** argv, const FigureSpec& figure) {
+  FlagParser flags(figure.title);
+  flags.add_string("csv", "", kCsvHelp);
+  flags.add_bool("quiet", false, "print only the winners, not the panels");
+  if (const auto exit_code = parse_bench_flags(flags, argc, argv, {})) {
+    return *exit_code;
+  }
+  const std::string csv_path = flags.get_string("csv");
+  const bool quiet = flags.get_bool("quiet");
 
   std::cout << "=== " << figure.title << " ===\n";
   std::cout << "workload: " << to_string(figure.family) << " over "

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,7 +35,15 @@ struct FigureSpec {
 
 /// Runs the figure and prints it; returns a process exit code
 /// (0 even when the measured winner deviates — benches report, tests
-/// enforce). Accepts --csv <path> and --quiet.
+/// enforce, 2 on a bad command line). Accepts --csv <path> and --quiet.
 int run_figure(int argc, char** argv, const FigureSpec& figure);
+
+/// Parses the command line of a bench whose one flag is --csv <path>;
+/// `description` heads its --help. Returns the exit code the bench
+/// stops with (0 after --help, 2 after a bad command line), or nullopt
+/// when the run goes ahead with `csv_path` set.
+std::optional<int> parse_csv_flag(int argc, char** argv,
+                                  std::string description,
+                                  std::string& csv_path);
 
 }  // namespace pmemflow::bench

@@ -6,10 +6,10 @@
 //   - remote-write collapse vs mild remote-read degradation
 //   - idle latencies (write 90 ns < read 169 ns)
 //   - small-access (sub-stripe) penalties at high thread counts
-#include <cstring>
 #include <iostream>
 #include <vector>
 
+#include "bench/common.hpp"
 #include "common/csv.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
@@ -43,10 +43,10 @@ double aggregate_bandwidth(pmemsim::OptaneRateAllocator& allocator, int n,
 int main(int argc, char** argv) {
   using namespace pmemflow;
   std::string csv_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
-      csv_path = argv[++i];
-    }
+  if (const auto exit_code = bench::parse_csv_flag(
+          argc, argv, "Device characterization sweep (paper SII-B)",
+          csv_path)) {
+    return *exit_code;
   }
 
   std::cout << "=== Device characterization (paper SII-B) ===\n\n";

@@ -4,9 +4,9 @@
 // 1.4-1.6x when the analytics kernel changes, unless scheduling and
 // placement are adjusted too (§I).
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 
+#include "bench/common.hpp"
 #include "common/strings.hpp"
 #include "core/executor.hpp"
 #include "metrics/report.hpp"
@@ -15,10 +15,10 @@
 int main(int argc, char** argv) {
   using namespace pmemflow;
   std::string csv_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
-      csv_path = argv[++i];
-    }
+  if (const auto exit_code = bench::parse_csv_flag(
+          argc, argv, "Fig 1: miniAMR workflows under two configurations",
+          csv_path)) {
+    return *exit_code;
   }
 
   std::cout << "=== Fig 1: Performance of miniAMR workflows with "

@@ -2,9 +2,9 @@
 // application-kernel workflows (plus the microbenchmarks), prints the
 // measured simulation/analytics I/O indexes, object-size class, and
 // concurrency class — the axes of the paper's radar chart (§IV-C).
-#include <cstring>
 #include <iostream>
 
+#include "bench/common.hpp"
 #include "common/csv.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
@@ -14,10 +14,9 @@
 int main(int argc, char** argv) {
   using namespace pmemflow;
   std::string csv_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
-      csv_path = argv[++i];
-    }
+  if (const auto exit_code = bench::parse_csv_flag(
+          argc, argv, "Fig 3: workflow parameter space", csv_path)) {
+    return *exit_code;
   }
 
   std::cout << "=== Fig 3: Workflow parameter space ===\n"

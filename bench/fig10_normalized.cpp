@@ -4,10 +4,10 @@
 // paper's headline numbers: no single optimal configuration, and
 // mis-configuration costing up to ~70 % (§VII).
 #include <algorithm>
-#include <cstring>
 #include <iostream>
 #include <set>
 
+#include "bench/common.hpp"
 #include "common/strings.hpp"
 #include "core/executor.hpp"
 #include "metrics/report.hpp"
@@ -16,10 +16,11 @@
 int main(int argc, char** argv) {
   using namespace pmemflow;
   std::string csv_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
-      csv_path = argv[++i];
-    }
+  if (const auto exit_code = bench::parse_csv_flag(
+          argc, argv,
+          "Fig 10: workflow runtime normalized to the fastest configuration",
+          csv_path)) {
+    return *exit_code;
   }
 
   std::cout << "=== Fig 10: Workflow runtime normalized to the fastest "

@@ -5,10 +5,10 @@
 // reports how many of the 18 suite winners change — a robustness check
 // on the reproduction (small counts = conclusions are driven by the
 // mechanisms, not the specific constants).
-#include <cstring>
 #include <iostream>
 #include <vector>
 
+#include "bench/common.hpp"
 #include "common/csv.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
@@ -57,10 +57,10 @@ std::vector<std::string> suite_winners(const devices::DeviceSpec& device) {
 int main(int argc, char** argv) {
   using namespace pmemflow;
   std::string csv_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
-      csv_path = argv[++i];
-    }
+  if (const auto exit_code = bench::parse_csv_flag(
+          argc, argv, "Extension: winner sensitivity to +/-20% knob changes",
+          csv_path)) {
+    return *exit_code;
   }
 
   std::cout << "=== Extension: winner sensitivity to +/-20% knob "

@@ -7,9 +7,9 @@
 // crossover points a production scheduler would want to know, and a
 // direct answer to "how sensitive are the recommendations to the
 // concurrency bins?".
-#include <cstring>
 #include <iostream>
 
+#include "bench/common.hpp"
 #include "common/csv.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
@@ -20,10 +20,10 @@
 int main(int argc, char** argv) {
   using namespace pmemflow;
   std::string csv_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
-      csv_path = argv[++i];
-    }
+  if (const auto exit_code = bench::parse_csv_flag(
+          argc, argv, "Extension: winner vs concurrency (2-28 ranks)",
+          csv_path)) {
+    return *exit_code;
   }
 
   std::cout << "=== Extension: winner vs concurrency (2-28 ranks) ===\n\n";

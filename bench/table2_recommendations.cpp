@@ -6,9 +6,9 @@
 // empirical best from an exhaustive sweep — including each strategy's
 // regret. This is the validation the paper's conclusions ask future
 // schedulers to perform.
-#include <cstring>
 #include <iostream>
 
+#include "bench/common.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "core/autotuner.hpp"
@@ -18,10 +18,11 @@
 int main(int argc, char** argv) {
   using namespace pmemflow;
   std::string csv_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
-      csv_path = argv[++i];
-    }
+  if (const auto exit_code = bench::parse_csv_flag(
+          argc, argv,
+          "Table II: configuration recommendations for the 18-workflow suite",
+          csv_path)) {
+    return *exit_code;
   }
 
   std::cout << "=== Table II: Configuration recommendations for "

@@ -9,14 +9,16 @@
 //
 // This tool is for maintainers; it is not part of the figure benches.
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "bench/bench_flags.hpp"
+#include "common/flags.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "core/executor.hpp"
@@ -344,18 +346,26 @@ void search(Knobs& knobs, int budget, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   using namespace pmemflow;
-  int search_budget = 0;
-  std::uint64_t seed = 20260706;
-  std::string backend_name;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--search") == 0 && i + 1 < argc) {
-      search_budget = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--backend") == 0 && i + 1 < argc) {
-      backend_name = argv[++i];
-    }
+  FlagParser flags(
+      "calibrate: score the device/stack model against the paper's "
+      "18-workflow acceptance criteria");
+  flags.add_int("search", 0,
+                "hill-climb iterations over the model knobs (0 = score only)");
+  flags.add_int("seed", 20260706, "search seed");
+  flags.add_string("backend", "",
+                   "seed the knobs from this optane-kind registry preset");
+  if (const auto exit_code = bench::parse_bench_flags(flags, argc, argv, {})) {
+    return *exit_code;
   }
+  const std::int64_t search_budget = flags.get_int("search");
+  if (search_budget < 0 || search_budget > std::numeric_limits<int>::max()) {
+    std::fprintf(stderr, "error: --search must be between 0 and %d, got %lld\n",
+                 std::numeric_limits<int>::max(),
+                 static_cast<long long>(search_budget));
+    return 2;
+  }
+  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+  const std::string backend_name = flags.get_string("backend");
 
   Knobs knobs;
   if (!backend_name.empty()) {
@@ -381,7 +391,7 @@ int main(int argc, char** argv) {
     std::printf("seeding knobs from preset %s\n", backend_name.c_str());
   }
   if (search_budget > 0) {
-    search(knobs, search_budget, seed);
+    search(knobs, static_cast<int>(search_budget), seed);
   }
   const Evaluation eval = evaluate(knobs, true);
   for (const auto& line : eval.report_lines) {
