@@ -96,11 +96,13 @@ void NovaChannel::read_payload(std::uint64_t version, std::uint32_t rank,
 }
 
 void NovaChannel::release_version(std::uint64_t version) {
+  const Bytes before = fs_.stats().bytes_reclaimed;
   for (std::uint32_t rank = 0; rank < num_ranks(); ++rank) {
     // Parts may be absent if a rank wrote nothing for this version.
     (void)fs_.unlink(part_path(version, rank, "idx"));
     (void)fs_.unlink(part_path(version, rank, "dat"));
   }
+  count_reclaimed(fs_.stats().bytes_reclaimed - before);
 }
 
 }  // namespace pmemflow::stack

@@ -139,6 +139,23 @@ TEST(RunnerCapacity, GcRewriteTrafficSlowsTheDevice) {
   EXPECT_GT(gc->device.bytes_written, baseline->device.bytes_written);
 }
 
+TEST(RunnerCapacity, NovaGcReclaimsAndRewrites) {
+  // NOVA frees a superseded version by unlinking its files; GC must see
+  // those bytes and charge their rewrite, as it does on NVStream.
+  Runner runner;
+  WorkflowSpec spec = small_spec();
+  spec.stack = WorkflowSpec::Stack::kNova;
+  auto baseline = runner.run(spec, base_options());
+  RunOptions options = base_options();
+  options.retention.retain_versions = 1;
+  auto gc = runner.run(spec, options);
+  ASSERT_TRUE(baseline.has_value());
+  ASSERT_TRUE(gc.has_value());
+  EXPECT_EQ(gc->channel.versions_recycled, 5u);
+  EXPECT_GT(gc->gc_bytes, 0u);
+  EXPECT_GT(gc->device.bytes_written, baseline->device.bytes_written);
+}
+
 TEST(RunnerCapacity, StagingAndRetentionComposeDeterministically) {
   Runner runner;
   RunOptions options = base_options();

@@ -99,7 +99,7 @@ const Golden kGoldens[] = {
       5496000000.000001, 0, 0, 0, 0, 0xa774ca92ae86f888ULL}},
     {"nova/P-LocR",
      {95803024360, 95602646207, 68, 24, 5496000000, 5496000000,
-      5495999999.999999, 0, 5496000000, 0, 0, 0xe9eaf69bfc555da6ULL}},
+      5495999999.999999, 0, 0, 0, 0, 0xe9eaf69bfc555da6ULL}},
     {"capacity-2/P-LocW",
      {20786238283, 17305563821, 105, 10000000, 20000000000, 20000000000,
       20000000000, 0, 0, 0, 0, 0x3a4e93fac3409631ULL}},
