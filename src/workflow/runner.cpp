@@ -204,7 +204,9 @@ sim::Task stage_rank(sim::Engine& engine, JobState& job, StageState& stage,
   const Job& spec = *job.spec;
   const JobStage& self = *stage.spec;
   trace::Tracer* tracer = spec.tracer;
-  const std::string track = format("%s/rank%u", self.name.c_str(), rank);
+  const std::string track =
+      tracer != nullptr ? format("%s/rank%u", self.name.c_str(), rank)
+                        : std::string();
   if (spec.serial) {
     for (EdgeState* edge : stage.in_edges) {
       if (tracer != nullptr) {
